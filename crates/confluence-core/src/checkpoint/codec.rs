@@ -163,16 +163,35 @@ impl Encoder {
     }
 }
 
+/// Deepest token nesting (records and arrays inside each other) the
+/// decoder accepts. Far beyond any real workflow token, and far short of
+/// the recursion that would overflow the stack on forged input.
+const MAX_TOKEN_DEPTH: u32 = 128;
+
 /// Cursor-based decoder over an encoded byte slice.
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Current token nesting depth (bounded by [`MAX_TOKEN_DEPTH`]).
+    depth: u32,
 }
 
 impl<'a> Decoder<'a> {
     /// A decoder starting at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// A safe preallocation for `n` length-prefixed elements: every
+    /// element takes at least one byte, so no honest sequence is longer
+    /// than the bytes that remain. A forged length therefore cannot make
+    /// the decoder reserve more memory than the input itself.
+    pub fn capacity(&self, n: usize) -> usize {
+        n.min(self.buf.len().saturating_sub(self.pos))
     }
 
     /// Whether every byte has been consumed.
@@ -251,6 +270,16 @@ impl<'a> Decoder<'a> {
 
     /// Read a [`Token`].
     pub fn token(&mut self) -> Result<Token> {
+        if self.depth >= MAX_TOKEN_DEPTH {
+            return Err(corrupt("token nesting too deep"));
+        }
+        self.depth += 1;
+        let token = self.token_body();
+        self.depth -= 1;
+        token
+    }
+
+    fn token_body(&mut self) -> Result<Token> {
         match self.u8()? {
             0 => Ok(Token::Unit),
             1 => Ok(Token::Bool(self.bool()?)),
@@ -259,7 +288,7 @@ impl<'a> Decoder<'a> {
             4 => Ok(Token::Str(Arc::from(self.str()?))),
             5 => {
                 let n = self.u32()? as usize;
-                let mut fields = Vec::with_capacity(n);
+                let mut fields = Vec::with_capacity(self.capacity(n));
                 for _ in 0..n {
                     let name: Arc<str> = Arc::from(self.str()?);
                     let value = self.token()?;
@@ -269,7 +298,7 @@ impl<'a> Decoder<'a> {
             }
             6 => {
                 let n = self.u32()? as usize;
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::with_capacity(self.capacity(n));
                 for _ in 0..n {
                     items.push(self.token()?);
                 }
@@ -311,7 +340,7 @@ impl<'a> Decoder<'a> {
     pub fn window(&mut self) -> Result<Window> {
         let group = self.token()?;
         let n = self.u32()? as usize;
-        let mut events = Vec::with_capacity(n);
+        let mut events = Vec::with_capacity(self.capacity(n));
         for _ in 0..n {
             events.push(self.event()?);
         }
@@ -422,6 +451,29 @@ mod tests {
             let mut d = Decoder::new(&bytes[..cut]);
             assert!(d.token().is_err(), "cut at {cut} must error");
         }
+    }
+
+    #[test]
+    fn forged_lengths_and_nesting_are_errors_not_aborts() {
+        // A record claiming u32::MAX fields must not reserve ~171 GB.
+        assert!(Decoder::new(&[5, 0xff, 0xff, 0xff, 0xff]).token().is_err());
+        assert!(Decoder::new(&[6, 0xff, 0xff, 0xff, 0xff]).token().is_err());
+        // Two million nested one-element arrays must not overflow the stack.
+        let mut deep = Vec::new();
+        for _ in 0..2_000_000 {
+            deep.extend_from_slice(&[6, 1, 0, 0, 0]);
+        }
+        deep.push(0);
+        let err = Decoder::new(&deep).token().unwrap_err();
+        assert!(matches!(err, Error::Checkpoint(_)), "{err:?}");
+        // Nesting up to the limit still decodes.
+        let mut ok = Token::Unit;
+        for _ in 0..MAX_TOKEN_DEPTH - 1 {
+            ok = Token::Array(vec![ok].into());
+        }
+        let mut e = Encoder::new();
+        e.token(&ok);
+        assert_eq!(Decoder::new(&e.into_bytes()).token().unwrap(), ok);
     }
 
     #[test]

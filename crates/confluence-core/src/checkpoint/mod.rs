@@ -91,7 +91,7 @@ fn encode_events(e: &mut Encoder, events: &[crate::event::CwEvent]) {
 
 fn decode_events(d: &mut Decoder<'_>) -> Result<Vec<crate::event::CwEvent>> {
     let n = d.u32()? as usize;
-    let mut events = Vec::with_capacity(n.min(1 << 16));
+    let mut events = Vec::with_capacity(d.capacity(n));
     for _ in 0..n {
         events.push(d.event()?);
     }
@@ -107,7 +107,7 @@ fn encode_windows(e: &mut Encoder, windows: &[Window]) {
 
 fn decode_windows(d: &mut Decoder<'_>) -> Result<Vec<Window>> {
     let n = d.u32()? as usize;
-    let mut windows = Vec::with_capacity(n.min(1 << 16));
+    let mut windows = Vec::with_capacity(d.capacity(n));
     for _ in 0..n {
         windows.push(d.window()?);
     }
@@ -192,7 +192,7 @@ fn encode_operator(e: &mut Encoder, op: &OperatorSnapshot) {
 
 fn decode_operator(d: &mut Decoder<'_>) -> Result<OperatorSnapshot> {
     let n = d.u32()? as usize;
-    let mut groups = Vec::with_capacity(n.min(1 << 16));
+    let mut groups = Vec::with_capacity(d.capacity(n));
     for _ in 0..n {
         groups.push(decode_group(d)?);
     }
@@ -221,16 +221,16 @@ impl FabricState {
 
     fn decode(d: &mut Decoder<'_>) -> Result<FabricState> {
         let n = d.u32()? as usize;
-        let mut actors = Vec::with_capacity(n.min(1 << 16));
+        let mut actors = Vec::with_capacity(d.capacity(n));
         for _ in 0..n {
             let k = d.u32()? as usize;
-            let mut inbox = Vec::with_capacity(k.min(1 << 16));
+            let mut inbox = Vec::with_capacity(d.capacity(k));
             for _ in 0..k {
                 let port = d.u32()? as usize;
                 inbox.push((port, d.window()?));
             }
             let p = d.u32()? as usize;
-            let mut ports = Vec::with_capacity(p.min(1 << 16));
+            let mut ports = Vec::with_capacity(d.capacity(p));
             for _ in 0..p {
                 ports.push(decode_operator(d)?);
             }
@@ -317,7 +317,7 @@ impl Checkpoint {
             )));
         }
         let n = d.u32()? as usize;
-        let mut actors = Vec::with_capacity(n.min(1 << 16));
+        let mut actors = Vec::with_capacity(d.capacity(n));
         for _ in 0..n {
             let name = d.str()?.to_string();
             let state = d.bytes()?.to_vec();
@@ -325,7 +325,7 @@ impl Checkpoint {
         }
         let fabric = FabricState::decode(&mut d)?;
         let n = d.u32()? as usize;
-        let mut resources = Vec::with_capacity(n.min(1 << 16));
+        let mut resources = Vec::with_capacity(d.capacity(n));
         for _ in 0..n {
             let name = d.str()?.to_string();
             let state = d.bytes()?.to_vec();
@@ -881,6 +881,57 @@ mod tests {
             EventLog::read_all(&dir.join("missing.bin")).unwrap(),
             Vec::new()
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The two forged tokens from outside the process that used to abort
+    /// (a ~171 GB reservation) or overflow the stack.
+    fn forged_tokens() -> Vec<Vec<u8>> {
+        let mut deep = Vec::new();
+        for _ in 0..2_000_000 {
+            deep.extend_from_slice(&[6, 1, 0, 0, 0]);
+        }
+        deep.push(0);
+        vec![vec![5, 0xff, 0xff, 0xff, 0xff], deep]
+    }
+
+    #[test]
+    fn forged_tokens_in_a_checkpoint_are_errors() {
+        for token in forged_tokens() {
+            // One actor whose inbox holds one window with the forged token
+            // as its group key.
+            let mut e = Encoder::new();
+            for b in MAGIC {
+                e.u8(*b);
+            }
+            e.u32(VERSION);
+            e.u32(0); // no actor state
+            e.u32(1); // one fabric actor
+            e.u32(1); // one inbox window
+            e.u32(0); // on port 0
+            let mut bytes = e.into_bytes();
+            bytes.extend_from_slice(&token);
+            let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, Error::Checkpoint(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn forged_tokens_in_an_event_log_are_errors() {
+        let dir = tmpdir("forged-log");
+        let path = dir.join("log.bin");
+        for token in forged_tokens() {
+            let mut frame = Encoder::new();
+            frame.u64(0);
+            frame.u32(0);
+            let mut frame = frame.into_bytes();
+            frame.extend_from_slice(&token);
+            let mut bytes = (frame.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&frame);
+            fs::write(&path, &bytes).unwrap();
+            let err = EventLog::read_all(&path).unwrap_err();
+            assert!(matches!(err, Error::Checkpoint(_)), "{err:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

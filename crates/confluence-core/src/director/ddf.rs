@@ -9,10 +9,11 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::fire::{self, Kernel};
+use super::{Director, QueueContext, RunReport};
 
 /// Fires any actor with ready data until the workflow quiesces.
 pub struct DdfDirector {
@@ -46,107 +47,71 @@ impl DdfDirector {
         self.max_firings = n;
         self
     }
+}
 
+/// One DDF run's sweep state.
+struct Sweep<'a> {
+    kernel: Kernel<'a>,
+    contexts: Vec<QueueContext>,
+    done: Vec<bool>,
+    report: RunReport,
+}
+
+impl Sweep<'_> {
     /// Fire `id` once with the next window from its inbox (if any).
-    /// Returns whether a firing happened.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_once(
-        &self,
-        workflow: &mut Workflow,
-        fabric: &Fabric,
-        contexts: &mut [QueueContext],
-        report: &mut RunReport,
-        done: &mut [bool],
-        id: ActorId,
-    ) -> Result<bool> {
-        if done[id.0] {
+    /// Returns whether a firing was attempted.
+    fn fire_once(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<bool> {
+        let inbox = self.kernel.fabric().inbox(id);
+        if self.done[id.0] {
             // Finished actors drop late windows.
-            while fabric.inbox(id).try_pop().is_some() {}
+            while inbox.try_pop().is_some() {}
             return Ok(false);
         }
-        let Some((port, window)) = fabric.inbox(id).try_pop() else {
+        let Some((port, window)) = inbox.try_pop() else {
             return Ok(false);
         };
-        let now = self.clock.now();
-        let ctx = &mut contexts[id.0];
-        ctx.set_now(now);
-        if fabric.wants_event_hooks() {
-            if let Some(t) = &self.telemetry {
-                t.observer
-                    .on_dequeue(id, port, window.trigger_wave(), window.formed_at, now);
-            }
-        }
-        ctx.deliver(port, window);
-        let actor = workflow.node_mut(id).actor_mut();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_fire_start(id, now);
-        }
-        let mut fired = false;
-        let mut events_in = 0u64;
-        let mut tokens_out = 0u64;
-        let mut origin = None;
-        let mut trigger_tag = None;
-        if actor.prefire(ctx)? {
-            actor.fire(ctx)?;
-            fired = true;
-            report.firings += 1;
-            events_in = ctx.consumed_events;
-            let (emissions, trigger) = ctx.take_emissions();
-            tokens_out = emissions.len() as u64;
-            origin = trigger.as_ref().map(|w| w.origin());
-            report.events_routed += fabric.route(id, emissions, trigger.as_ref(), now)?;
-            report.events_routed += fabric.route_expired(now)?;
-            trigger_tag = trigger;
-        }
-        if let Some(t) = &self.telemetry {
-            let ended = self.clock.now();
-            t.observer.on_fire_end(&FireRecord {
-                actor: id,
-                started: now,
-                ended,
-                busy: ended.since(now),
-                events_in,
-                tokens_out,
-                origin,
-                trigger: trigger_tag,
-                fired,
-            });
-            t.sample(ended);
-        }
-        if !actor.postfire(ctx)? {
-            done[id.0] = true;
-        }
+        self.kernel
+            .stage(id, &mut self.contexts[id.0], port, window);
+        self.attempt(workflow, id)?;
         Ok(true)
+    }
+
+    /// One firing attempt plus postfire. Returns whether the actor fired.
+    fn attempt(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<bool> {
+        let node = workflow.node_mut(id);
+        let is_source = node.is_source;
+        let actor = node.actor_mut();
+        let ctx = &mut self.contexts[id.0];
+        let f = self.kernel.fire(id, is_source, actor, ctx)?;
+        if f.fired {
+            self.report.firings += 1;
+        }
+        self.report.events_routed += f.routed;
+        if !actor.postfire(ctx)? {
+            self.done[id.0] = true;
+        }
+        Ok(f.fired)
     }
 }
 
 impl Director for DdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-        let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
-        let mut done = vec![false; workflow.actor_count()];
-
+        let tele = self.telemetry.as_ref();
+        let fabric = fire::open_fabric(workflow, tele, self.hook.as_ref())?;
+        let kernel = Kernel::new(&fabric, tele, &*self.clock);
+        let started = kernel.now();
+        kernel.phase(RunPhase::Start);
+        let mut sweep = Sweep {
+            kernel,
+            contexts: fire::contexts(workflow, tele),
+            done: vec![false; workflow.actor_count()],
+            report: RunReport::default(),
+        };
         if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
             for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
+                let actor = workflow.node_mut(id).actor_mut();
+                sweep.report.events_routed +=
+                    kernel.initialize(id, actor, &mut sweep.contexts[id.0])?;
             }
         }
 
@@ -155,22 +120,14 @@ impl Director for DdfDirector {
             if self.telemetry.as_ref().is_some_and(|t| t.should_stop()) {
                 break;
             }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
+            if let Some(hook) = self.hook.as_ref().filter(|h| h.pause_requested()) {
                 // Quiesce at the sweep boundary: no firing is in flight,
-                // so staged-but-unconsumed context windows go back to
-                // their inboxes and the capture sees a consistent state.
-                // The end-of-stream tail (finish/close/wrapup) is skipped.
-                for id in workflow.actor_ids() {
-                    let staged = contexts[id.0].take_staged();
-                    fabric.inbox(id).push_front_batch(staged);
-                }
-                if let Some(hook) = &self.hook {
-                    hook.deposit(fabric.capture_state());
-                }
-                report.elapsed = self.clock.now().since(started);
-                if let Some(t) = &self.telemetry {
-                    t.observer.on_run_phase(RunPhase::End, self.clock.now());
-                }
+                // so the capture sees a consistent state. The
+                // end-of-stream tail (finish/close/wrapup) is skipped.
+                fire::quiesce(&fabric, hook, workflow.actor_ids().zip(&mut sweep.contexts));
+                let mut report = sweep.report;
+                report.elapsed = kernel.now().since(started);
+                kernel.phase(RunPhase::End);
                 return Ok(report);
             }
             let mut progress = false;
@@ -179,9 +136,9 @@ impl Director for DdfDirector {
                 if workflow.node(id).is_source {
                     continue;
                 }
-                while self.fire_once(workflow, &fabric, &mut contexts, &mut report, &mut done, id)? {
+                while sweep.fire_once(workflow, id)? {
                     progress = true;
-                    if report.firings > self.max_firings {
+                    if sweep.report.firings > self.max_firings {
                         return Err(Error::Director(format!(
                             "DDF exceeded max_firings={} (runaway graph?)",
                             self.max_firings
@@ -194,43 +151,10 @@ impl Director for DdfDirector {
             }
             // Nothing data-ready: give each live source one firing.
             for &id in &sources {
-                if done[id.0] {
+                if sweep.done[id.0] {
                     continue;
                 }
-                let now = self.clock.now();
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(now);
-                let actor = workflow.node_mut(id).actor_mut();
-                if actor.prefire(ctx)? {
-                    if let Some(t) = &self.telemetry {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    actor.fire(ctx)?;
-                    report.firings += 1;
-                    let (emissions, _) = ctx.take_emissions();
-                    let tokens_out = emissions.len() as u64;
-                    report.events_routed += fabric.route(id, emissions, None, now)?;
-                    if let Some(t) = &self.telemetry {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in: 0,
-                            tokens_out,
-                            origin: None,
-                            trigger: None,
-                            fired: true,
-                        });
-                        t.sample(ended);
-                    }
-                    progress = true;
-                }
-                if !actor.postfire(ctx)? {
-                    done[id.0] = true;
-                    progress = true;
-                }
+                progress |= sweep.attempt(workflow, id)? || sweep.done[id.0];
             }
             if !progress {
                 break;
@@ -240,48 +164,30 @@ impl Director for DdfDirector {
         // Closure cascade in topological-ish order: closing an actor's
         // outputs flushes downstream partial windows, which may enable more
         // firings before those actors close in turn.
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Close, self.clock.now());
-        }
-        let order = quasi_topological(workflow);
-        for id in order {
+        kernel.phase(RunPhase::Close);
+        for id in quasi_topological(workflow) {
             // Drain anything enabled by earlier closes, then give the actor
             // its final chance to emit before its own outputs close.
-            while self.fire_once(workflow, &fabric, &mut contexts, &mut report, &mut done, id)? {}
-            let now = self.clock.now();
-            let ctx = &mut contexts[id.0];
-            ctx.set_now(now);
-            workflow.node_mut(id).actor_mut().finish(ctx)?;
-            let (emissions, trigger) = ctx.take_emissions();
-            report.events_routed += fabric.route(id, emissions, trigger.as_ref(), now)?;
-            fabric.close_actor_outputs(id, self.clock.now())?;
+            while sweep.fire_once(workflow, id)? {}
+            let actor = workflow.node_mut(id).actor_mut();
+            sweep.report.events_routed += kernel.finish(id, actor, &mut sweep.contexts[id.0])?;
             let mut again = true;
             while again {
                 again = false;
                 for target in workflow.actor_ids() {
-                    while self.fire_once(
-                        workflow,
-                        &fabric,
-                        &mut contexts,
-                        &mut report,
-                        &mut done,
-                        target,
-                    )? {
+                    while sweep.fire_once(workflow, target)? {
                         again = true;
                     }
                 }
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
-        }
+        kernel.phase(RunPhase::Wrapup);
         for id in workflow.actor_ids() {
             workflow.node_mut(id).actor_mut().wrapup()?;
         }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
+        let mut report = sweep.report;
+        report.elapsed = kernel.now().since(started);
+        kernel.phase(RunPhase::End);
         Ok(report)
     }
 

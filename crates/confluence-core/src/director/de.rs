@@ -14,10 +14,11 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::event::CwEvent;
 use crate::graph::{ActorId, PortRef, Workflow};
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{Clock, Micros, Timestamp, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::fire::{self, Kernel};
+use super::{Director, QueueContext, RunReport};
 
 #[derive(Debug)]
 enum Agenda {
@@ -49,6 +50,28 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
+    }
+}
+
+/// The global event queue: timestamp order, insertion order among ties.
+#[derive(Default)]
+struct Queue {
+    heap: BinaryHeap<Reverse<Entry>>,
+    seq: u64,
+}
+
+impl Queue {
+    fn push(&mut self, time: Timestamp, agenda: Agenda) {
+        self.seq += 1;
+        self.heap.push(Reverse(Entry {
+            time,
+            seq: self.seq,
+            agenda,
+        }));
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        self.heap.pop().map(|Reverse(e)| e)
     }
 }
 
@@ -90,54 +113,105 @@ impl DeDirector {
     }
 }
 
-impl Director for DeDirector {
-    fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let tele = self.telemetry.clone();
-        let observer = tele.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
+/// One DE run's state: the agenda plus the firing contexts.
+struct DeRun<'a> {
+    kernel: Kernel<'a>,
+    contexts: Vec<QueueContext>,
+    queue: Queue,
+    delay: Micros,
+    report: RunReport,
+}
+
+impl DeRun<'_> {
+    /// One firing attempt whose emissions are scheduled as future
+    /// deliveries. Returns the actor's postfire verdict.
+    fn attempt(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<bool> {
+        let at = self.kernel.now().plus(self.delay);
+        let node = workflow.node_mut(id);
+        let is_source = node.is_source;
+        let actor = node.actor_mut();
+        let ctx = &mut self.contexts[id.0];
+        let queue = &mut self.queue;
+        let mut schedule = |dest: PortRef, events: Vec<CwEvent>| {
+            for event in events {
+                queue.push(at, Agenda::Deliver(dest, event));
+            }
+            Ok(())
+        };
+        let f = self
+            .kernel
+            .fire_with(id, is_source, actor, ctx, None, Some(&mut schedule))?;
+        if f.fired {
+            self.report.firings += 1;
+        }
+        self.report.events_routed += f.routed;
+        actor.postfire(ctx)
+    }
+
+    /// Fire `id` on every window currently in its inbox.
+    fn drain_inbox(&mut self, workflow: &mut Workflow, id: ActorId) -> Result<()> {
+        while let Some((port, window)) = self.kernel.fabric().inbox(id).try_pop() {
+            self.kernel
+                .stage(id, &mut self.contexts[id.0], port, window);
+            self.attempt(workflow, id)?;
+        }
+        Ok(())
+    }
+
+    /// Deliver a scheduled event (arming its window timeout) or evaluate
+    /// a timeout, then fire the receiving actor on what formed.
+    fn handle(&mut self, workflow: &mut Workflow, agenda: Agenda) -> Result<()> {
+        let fabric = self.kernel.fabric();
+        let now = self.kernel.now();
+        match agenda {
+            Agenda::Deliver(dest, event) => {
+                fabric.deliver(dest, event, now)?;
+                if let Some(deadline) = fabric.receivers(dest.actor)[dest.port].next_deadline() {
+                    self.queue.push(deadline, Agenda::Poll(dest.actor));
+                }
+                self.drain_inbox(workflow, dest.actor)
+            }
+            Agenda::Poll(id) => {
+                fabric.poll_actor(id, now);
+                self.drain_inbox(workflow, id)
+            }
+            Agenda::SourceFire(id) => {
+                if self.attempt(workflow, id)? {
+                    let next = workflow
+                        .node(id)
+                        .peek_actor()
+                        .and_then(|a| a.next_arrival());
+                    if let Some(next) = next {
+                        self.queue.push(next.max(now), Agenda::SourceFire(id));
+                    }
+                }
+                Ok(())
             }
         }
-        let started = self.clock.now();
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
-        let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
-        // Snapshot of the routing table (avoids borrowing the workflow
-        // while an actor is mutably borrowed).
-        let routes: Vec<Vec<Vec<PortRef>>> = workflow
-            .actor_ids()
-            .map(|id| {
-                (0..workflow.node(id).signature.outputs.len())
-                    .map(|p| workflow.routes_from(id, p).to_vec())
-                    .collect()
-            })
-            .collect();
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |heap: &mut BinaryHeap<Reverse<Entry>>, time, agenda, seq: &mut u64| {
-            *seq += 1;
-            heap.push(Reverse(Entry {
-                time,
-                seq: *seq,
-                agenda,
-            }));
+    }
+}
+
+impl Director for DeDirector {
+    fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
+        let tele = self.telemetry.as_ref();
+        let fabric = fire::open_fabric(workflow, tele, self.hook.as_ref())?;
+        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
+        let kernel = Kernel::new(&fabric, tele, &*self.clock);
+        let started = kernel.now();
+        kernel.phase(RunPhase::Start);
+        let mut run = DeRun {
+            kernel,
+            contexts: fire::contexts(workflow, tele),
+            queue: Queue::default(),
+            delay: self.channel_delay,
+            report: RunReport::default(),
         };
 
         for id in workflow.actor_ids() {
             if !resuming {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
+                let actor = workflow.node_mut(id).actor_mut();
+                run.report.events_routed +=
+                    kernel.initialize(id, actor, &mut run.contexts[id.0])?;
             }
             if workflow.node(id).is_source {
                 let when = workflow
@@ -145,319 +219,79 @@ impl Director for DeDirector {
                     .peek_actor()
                     .and_then(|a| a.next_arrival())
                     .unwrap_or(Timestamp::ZERO);
-                push(&mut heap, when, Agenda::SourceFire(id), &mut seq);
+                run.queue.push(when, Agenda::SourceFire(id));
             }
-        }
-
-        // Fire `id` on every window currently in its inbox; emissions are
-        // scheduled as future deliveries.
-        macro_rules! drain_inbox {
-            ($id:expr) => {{
-                let id: ActorId = $id;
-                while let Some((port, window)) = fabric.inbox(id).try_pop() {
-                    let now = self.clock.now();
-                    let ctx = &mut contexts[id.0];
-                    ctx.set_now(now);
-                    if fabric.wants_event_hooks() {
-                        if let Some(t) = &tele {
-                            t.observer.on_dequeue(
-                                id,
-                                port,
-                                window.trigger_wave(),
-                                window.formed_at,
-                                now,
-                            );
-                        }
-                    }
-                    if let Some(t) = &tele {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    ctx.deliver(port, window);
-                    let fired = {
-                        let actor = workflow.node_mut(id).actor_mut();
-                        if actor.prefire(ctx)? {
-                            actor.fire(ctx)?;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    let mut events_in = 0u64;
-                    let mut tokens_out = 0u64;
-                    let mut origin = None;
-                    let mut trigger_tag = None;
-                    if fired {
-                        report.firings += 1;
-                        events_in = ctx.consumed_events;
-                        let (emissions, trigger) = ctx.take_emissions();
-                        tokens_out = emissions.len() as u64;
-                        origin = trigger.as_ref().map(|w| w.origin());
-                        let mut delivered = 0u64;
-                        if !emissions.is_empty() {
-                            let stamped: Vec<(usize, CwEvent)> = match trigger {
-                                Some(ref p) => {
-                                    let ports: Vec<usize> =
-                                        emissions.iter().map(|(p, _)| *p).collect();
-                                    let tokens: Vec<_> =
-                                        emissions.into_iter().map(|(_, t)| t).collect();
-                                    let evs = crate::event::WaveStamper::new(p.clone())
-                                        .stamp_all(tokens, now);
-                                    ports.into_iter().zip(evs).collect()
-                                }
-                                None => emissions
-                                    .into_iter()
-                                    .map(|(p, t)| (p, CwEvent::external(t, now)))
-                                    .collect(),
-                            };
-                            if trigger.is_none() && fabric.wants_event_hooks() {
-                                if let Some(t) = &tele {
-                                    for (_, event) in &stamped {
-                                        t.observer.on_admit(id, &event.wave, now);
-                                    }
-                                }
-                            }
-                            for (out_port, event) in stamped {
-                                for dest in &routes[id.0][out_port] {
-                                    report.events_routed += 1;
-                                    delivered += 1;
-                                    if let Some(t) = &tele {
-                                        t.observer.on_route_edge(id, dest.actor, dest.port, 1, now);
-                                    }
-                                    push(
-                                        &mut heap,
-                                        now.plus(self.channel_delay),
-                                        Agenda::Deliver(*dest, event.clone()),
-                                        &mut seq,
-                                    );
-                                }
-                            }
-                        }
-                        if let Some(t) = &tele {
-                            // DE schedules deliveries itself instead of
-                            // going through Fabric::route, so the routing
-                            // hook is reported manually.
-                            t.observer.on_route(id, delivered, now);
-                        }
-                        trigger_tag = trigger;
-                    }
-                    if let Some(t) = &tele {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in,
-                            tokens_out,
-                            origin,
-                            trigger: trigger_tag,
-                            fired,
-                        });
-                        t.sample(ended);
-                    }
-                    let _ = workflow.node_mut(id).actor_mut().postfire(ctx)?;
-                }
-            }};
         }
 
         if resuming {
             // Restored inbox windows are not tied to any scheduled agenda
             // entry: fire them now so their emissions re-enter the heap.
             for id in workflow.actor_ids() {
-                drain_inbox!(id);
+                run.drain_inbox(workflow, id)?;
             }
         }
 
-        while let Some(Reverse(entry)) = heap.pop() {
-            if tele.as_ref().is_some_and(|t| t.should_stop()) {
+        while let Some(entry) = run.queue.pop() {
+            if tele.is_some_and(|t| t.should_stop()) {
                 break;
             }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
-                if let Agenda::SourceFire(_) = entry.agenda {
-                    // Park the source without advancing virtual time; the
-                    // firing is re-derived from `next_arrival` on resume.
-                    // Deliveries and polls keep draining so the snapshot
-                    // sees a settled network.
-                    continue;
-                }
+            if self.hook.as_ref().is_some_and(|h| h.pause_requested())
+                && matches!(entry.agenda, Agenda::SourceFire(_))
+            {
+                // Park the source without advancing virtual time; the
+                // firing is re-derived from `next_arrival` on resume.
+                // Deliveries and polls keep draining so the snapshot sees
+                // a settled network.
+                continue;
             }
             self.clock.advance_to(entry.time);
-            match entry.agenda {
-                Agenda::SourceFire(id) => {
-                    let now = self.clock.now();
-                    let ctx = &mut contexts[id.0];
-                    ctx.set_now(now);
-                    let fired = {
-                        let actor = workflow.node_mut(id).actor_mut();
-                        if actor.prefire(ctx)? {
-                            if let Some(t) = &tele {
-                                t.observer.on_fire_start(id, now);
-                            }
-                            actor.fire(ctx)?;
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if fired {
-                        report.firings += 1;
-                        let (emissions, _) = ctx.take_emissions();
-                        let tokens_out = emissions.len() as u64;
-                        let mut delivered = 0u64;
-                        for (out_port, token) in emissions {
-                            let event = CwEvent::external(token, now);
-                            if fabric.wants_event_hooks() {
-                                if let Some(t) = &tele {
-                                    t.observer.on_admit(id, &event.wave, now);
-                                }
-                            }
-                            for dest in &routes[id.0][out_port] {
-                                report.events_routed += 1;
-                                delivered += 1;
-                                if let Some(t) = &tele {
-                                    t.observer.on_route_edge(id, dest.actor, dest.port, 1, now);
-                                }
-                                push(
-                                    &mut heap,
-                                    now.plus(self.channel_delay),
-                                    Agenda::Deliver(*dest, event.clone()),
-                                    &mut seq,
-                                );
-                            }
-                        }
-                        if let Some(t) = &tele {
-                            t.observer.on_route(id, delivered, now);
-                            t.observer.on_fire_end(&FireRecord {
-                                actor: id,
-                                started: now,
-                                ended: now,
-                                busy: Micros::ZERO,
-                                events_in: 0,
-                                tokens_out,
-                                origin: None,
-                                trigger: None,
-                                fired,
-                            });
-                            t.sample(now);
-                        }
-                    }
-                    if workflow.node_mut(id).actor_mut().postfire(ctx)? {
-                        if let Some(next) = workflow
-                            .node(id)
-                            .peek_actor()
-                            .and_then(|a| a.next_arrival())
-                        {
-                            let when = next.max(now);
-                            push(&mut heap, when, Agenda::SourceFire(id), &mut seq);
-                        }
-                    }
-                }
-                Agenda::Deliver(dest, event) => {
-                    let now = self.clock.now();
-                    fabric.deliver(dest, event, now)?;
-                    if let Some(deadline) =
-                        fabric.receivers(dest.actor)[dest.port].next_deadline()
-                    {
-                        push(&mut heap, deadline, Agenda::Poll(dest.actor), &mut seq);
-                    }
-                    drain_inbox!(dest.actor);
-                }
-                Agenda::Poll(id) => {
-                    let now = self.clock.now();
-                    fabric.poll_actor(id, now);
-                    drain_inbox!(id);
-                }
-            }
+            run.handle(workflow, entry.agenda)?;
         }
 
-        let quiescing = self.hook.as_ref().is_some_and(|h| h.pause_requested())
-            && !tele.as_ref().is_some_and(|t| t.should_stop());
-        if quiescing {
-            for id in workflow.actor_ids() {
-                let staged = contexts[id.0].take_staged();
-                fabric.inbox(id).push_front_batch(staged);
-            }
-            if let Some(hook) = &self.hook {
-                hook.deposit(fabric.capture_state());
-            }
-            report.elapsed = self.clock.now().since(started);
-            if let Some(t) = &tele {
-                t.observer.on_run_phase(RunPhase::End, self.clock.now());
-            }
+        let quiescing = !tele.is_some_and(|t| t.should_stop());
+        if let Some(hook) = self
+            .hook
+            .as_ref()
+            .filter(|h| quiescing && h.pause_requested())
+        {
+            fire::quiesce(&fabric, hook, workflow.actor_ids().zip(&mut run.contexts));
+            let mut report = run.report;
+            report.elapsed = kernel.now().since(started);
+            kernel.phase(RunPhase::End);
             return Ok(report);
         }
 
         // End of stream: flush partial windows, upstream first.
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Close, self.clock.now());
-        }
+        kernel.phase(RunPhase::Close);
         for id in super::ddf::quasi_topological(workflow) {
             // The actor's final chance to emit while downstream ports are
-            // still open: stamp the emissions and deliver them immediately
-            // (the agenda loop is over, so scheduling would lose them).
-            let now = self.clock.now();
-            {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(now);
-                workflow.node_mut(id).actor_mut().finish(ctx)?;
-            }
-            let (emissions, trigger) = contexts[id.0].take_emissions();
-            if !emissions.is_empty() {
-                let stamped: Vec<(usize, CwEvent)> = match trigger {
-                    Some(ref p) => {
-                        let ports: Vec<usize> = emissions.iter().map(|(p, _)| *p).collect();
-                        let tokens: Vec<_> = emissions.into_iter().map(|(_, t)| t).collect();
-                        let evs =
-                            crate::event::WaveStamper::new(p.clone()).stamp_all(tokens, now);
-                        ports.into_iter().zip(evs).collect()
-                    }
-                    None => emissions
-                        .into_iter()
-                        .map(|(p, t)| (p, CwEvent::external(t, now)))
-                        .collect(),
-                };
-                for (out_port, event) in stamped {
-                    for dest in &routes[id.0][out_port] {
-                        report.events_routed += 1;
-                        fabric.deliver(*dest, event.clone(), now)?;
-                    }
-                }
-            }
-            fabric.close_actor_outputs(id, self.clock.now())?;
+            // still open (the agenda loop is over, so its emissions are
+            // delivered immediately).
+            let actor = workflow.node_mut(id).actor_mut();
+            run.report.events_routed += kernel.finish(id, actor, &mut run.contexts[id.0])?;
             // Close-time firings schedule their deliveries on the agenda
             // like any other firing; drain it here before moving down the
             // cascade so those events reach still-open downstream ports.
             loop {
                 for target in workflow.actor_ids() {
-                    drain_inbox!(target);
+                    run.drain_inbox(workflow, target)?;
                 }
-                let Some(Reverse(entry)) = heap.pop() else {
+                let Some(entry) = run.queue.pop() else {
                     break;
                 };
                 self.clock.advance_to(entry.time);
-                match entry.agenda {
-                    Agenda::Deliver(dest, event) => {
-                        fabric.deliver(dest, event, self.clock.now())?;
-                        drain_inbox!(dest.actor);
-                    }
-                    Agenda::Poll(pid) => {
-                        fabric.poll_actor(pid, self.clock.now());
-                        drain_inbox!(pid);
-                    }
-                    Agenda::SourceFire(_) => {}
+                if !matches!(entry.agenda, Agenda::SourceFire(_)) {
+                    run.handle(workflow, entry.agenda)?;
                 }
             }
         }
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
-        }
+        kernel.phase(RunPhase::Wrapup);
         for id in workflow.actor_ids() {
             workflow.node_mut(id).actor_mut().wrapup()?;
         }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &tele {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
+        let mut report = run.report;
+        report.elapsed = kernel.now().since(started);
+        kernel.phase(RunPhase::End);
         Ok(report)
     }
 

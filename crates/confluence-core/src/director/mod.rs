@@ -14,15 +14,19 @@
 //!   schedule from balance equations;
 //! * [`ddf::DdfDirector`] — dynamic dataflow, data-driven;
 //! * [`de::DeDirector`] — discrete-event, global timestamp order;
+//! * [`pool::PoolDirector`] — the same PN semantics on a worker pool;
 //! * [`taxonomy`] — the machine-readable version of the paper's Table 1.
 //!
 //! The STAFiLOS scheduled CWF director lives in the `confluence-sched`
-//! crate and builds on the same [`Fabric`] plumbing defined here.
+//! crate and builds on the same [`Fabric`] plumbing defined here. Every
+//! director only chooses which actor fires when; the firing itself is the
+//! shared kernel in [`fire`].
 
 pub mod adaptive;
 pub mod composite;
 pub mod ddf;
 pub mod de;
+pub mod fire;
 pub mod pool;
 pub mod pool_policy;
 pub mod sdf;
@@ -137,6 +141,11 @@ pub struct Fabric {
     /// Serializes deadlock relief so concurrent stalled writers grow one
     /// queue at a time.
     relief_lock: Mutex<()>,
+    /// Makes each expired-item hand-over (drain a port's expired queue,
+    /// admit the events at its handler) atomic with respect to the close
+    /// cascade, so no thread admits expired events into a handler port
+    /// another thread has already closed.
+    expired_lock: Mutex<()>,
     /// Admission-side shed ratio in parts per million; 0 = disengaged.
     /// Set by the adaptive controller, applied in [`Fabric::route`] to
     /// source admissions (`parent == None`) before waves are stamped.
@@ -251,6 +260,7 @@ impl Fabric {
             progress,
             blocking: AtomicBool::new(false),
             relief_lock: Mutex::new(()),
+            expired_lock: Mutex::new(()),
             shed_ppm: AtomicU64::new(0),
             shed_acc: AtomicU64::new(0),
         })
@@ -271,7 +281,7 @@ impl Fabric {
     /// Error-diffusion verdict for one source-admission candidate under
     /// the current shed ratio: `false` means drop. Deterministic in the
     /// number of candidates seen, no RNG.
-    pub(crate) fn admit_past_shed_gate(&self, ppm: u64) -> bool {
+    fn admit_past_shed_gate(&self, ppm: u64) -> bool {
         let before = self.shed_acc.fetch_add(ppm, Ordering::Relaxed);
         let after = before.wrapping_add(ppm);
         after / 1_000_000 == before / 1_000_000
@@ -290,15 +300,14 @@ impl Fabric {
         self.blocking.load(Ordering::Relaxed)
     }
 
-    /// The observer attached at build time, if any (directors that stamp
-    /// and deliver events outside [`Fabric::route`] report through it).
+    /// The observer attached at build time, if any (directors that admit
+    /// parked deliveries outside [`Fabric::route`] report through it).
     pub fn observer(&self) -> Option<&Arc<dyn Observer>> {
         self.observer.as_ref()
     }
 
     /// Whether the attached observer asked for per-event hooks
-    /// (`on_admit`/`on_enqueue`). Directors with manual stamping paths
-    /// gate their own per-event reporting on this.
+    /// (`on_admit`/`on_enqueue`, and the firing kernel's `on_dequeue`).
     pub fn wants_event_hooks(&self) -> bool {
         self.fine
     }
@@ -415,11 +424,16 @@ impl Fabric {
 
     /// Deliver every port's expired events to its handler activity, if one
     /// was attached (the paper's expired-items queues). Returns how many
-    /// events were routed. Cheap no-op when no handlers exist.
+    /// events were routed. Cheap no-op when no handlers exist, and when
+    /// another thread is already handing over (what it leaves behind goes
+    /// on the next call, or with the port's close).
     pub fn route_expired(&self, now: Timestamp) -> Result<u64> {
         if !self.has_expired_routes {
             return Ok(0);
         }
+        let Some(_handover) = self.expired_lock.try_lock() else {
+            return Ok(0);
+        };
         let mut routed = 0u64;
         for (a, ports) in self.expired_routes.iter().enumerate() {
             for (p, dest) in ports.iter().enumerate() {
@@ -462,14 +476,32 @@ impl Fabric {
         parent: Option<&WaveTag>,
         now: Timestamp,
     ) -> Result<u64> {
+        self.stamp(from, emissions, parent, now, &mut |dest, events| {
+            self.deliver_batch(dest, events, now)
+        })
+    }
+
+    /// The one stamping path. Stamps a firing's emissions and hands them
+    /// to `sink` grouped by destination port, so each inbox lock is taken
+    /// once per firing instead of once per event. It applies the
+    /// admission-side shed gate to new waves and sends `on_admit`, one
+    /// `on_route_edge` per destination and one `on_route` per firing that
+    /// delivered anything. [`Fabric::route`] sinks into the receivers;
+    /// directors that delay or park deliveries pass their own sink.
+    pub fn stamp(
+        &self,
+        from: ActorId,
+        emissions: Vec<(usize, Token)>,
+        parent: Option<&WaveTag>,
+        now: Timestamp,
+        sink: &mut fire::Sink<'_>,
+    ) -> Result<u64> {
         if emissions.is_empty() {
             return Ok(0);
         }
-        // Stamp and group in a single pass: wave serial numbers are
-        // assigned per emission (unrouted emissions still consume an
-        // index, matching the per-event stamper), and deliveries are
-        // batched by destination port so each inbox lock is taken once
-        // per firing instead of once per event.
+        // Wave serial numbers are assigned per emission (unrouted
+        // emissions still consume an index, matching the per-event
+        // stamper).
         let n = emissions.len();
         let out_routes = &self.routes[from.0];
         let mut batches: Vec<(PortRef, Vec<CwEvent>)> = Vec::new();
@@ -519,30 +551,13 @@ impl Fabric {
             stash(last, event);
         }
         if delivered == 0 {
-            // A firing whose emissions all hit unrouted ports produced no
-            // deliveries: skip the observer callback and bookkeeping.
+            // A firing whose emissions all hit unrouted ports (or the shed
+            // gate) produced no deliveries: no route hooks.
             return Ok(0);
         }
         for (dest, events) in batches {
-            let receiver = &self.receivers[dest.actor.0][dest.port];
             let batch_len = events.len() as u64;
-            if receiver.policy().is_bounded() {
-                // Bounded ports keep the event-at-a-time admission path:
-                // blocking, shedding, and relief are per-event decisions.
-                for event in events {
-                    self.put_event(dest, event, now)?;
-                }
-            } else {
-                if self.fine {
-                    if let Some(obs) = &self.observer {
-                        for event in &events {
-                            obs.on_enqueue(dest.actor, dest.port, &event.wave, now);
-                        }
-                    }
-                }
-                let formed = receiver.put_batch(events, now)?;
-                self.note_windows(dest, formed, now);
-            }
+            sink(dest, events)?;
             if let Some(obs) = &self.observer {
                 obs.on_route_edge(from, dest.actor, dest.port, batch_len, now);
             }
@@ -553,10 +568,33 @@ impl Fabric {
         Ok(delivered)
     }
 
+    /// Admit one destination's batch of stamped events into its receiver.
+    fn deliver_batch(&self, dest: PortRef, events: Vec<CwEvent>, now: Timestamp) -> Result<()> {
+        let receiver = &self.receivers[dest.actor.0][dest.port];
+        if receiver.policy().is_bounded() {
+            // Bounded ports keep the event-at-a-time admission path:
+            // blocking, shedding, and relief are per-event decisions.
+            for event in events {
+                self.put_event(dest, event, now)?;
+            }
+            return Ok(());
+        }
+        if self.fine {
+            if let Some(obs) = &self.observer {
+                for event in &events {
+                    obs.on_enqueue(dest.actor, dest.port, &event.wave, now);
+                }
+            }
+        }
+        let formed = receiver.put_batch(events, now)?;
+        self.note_windows(dest, formed, now);
+        Ok(())
+    }
+
     /// Deliver one already-stamped event to a destination port, reporting
-    /// window formation to the observer. Used by directors (notably DE)
-    /// that stamp and schedule deliveries themselves instead of going
-    /// through [`Fabric::route`].
+    /// window formation to the observer. Used by directors whose
+    /// [`Fabric::stamp`] sink delays the delivery (DE's agenda, the pool's
+    /// parked deliveries).
     pub fn deliver(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<usize> {
         self.put_event(dest, event, now)
     }
@@ -648,8 +686,12 @@ impl Fabric {
                 }
             }
         }
+        if fully_closed.is_empty() {
+            return Ok(());
+        }
         // Cascade expired-queue finalization (a handler port may itself
         // have an expired handler).
+        let _handover = self.expired_lock.lock();
         while let Some(port) = fully_closed.pop() {
             let Some(dest) = self.expired_routes[port.actor.0][port.port] else {
                 continue;

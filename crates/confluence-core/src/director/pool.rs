@@ -48,13 +48,11 @@ use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::graph::{ActorId, PortRef, Workflow};
 use crate::receiver::{ActorInbox, InboxWaker};
-use crate::telemetry::{
-    AdaptEvent, FireRecord, LiveStats, LoadSignals, RunPhase, Telemetry, WorkerMetrics,
-};
+use crate::telemetry::{AdaptEvent, LiveStats, LoadSignals, RunPhase, Telemetry, WorkerMetrics};
 use crate::time::{Micros, SharedClock, Timestamp, WallClock};
-use crate::wave::WaveTag;
 
 use super::adaptive::{AdaptDecision, AdaptiveController, AdaptivePolicy};
+use super::fire::{self, Fired, Kernel};
 use super::pool_policy::{Fifo, PolicyView, PoolPolicy, ReadyEntry, ReadyQueue};
 use super::{Director, Fabric, QueueContext, RunReport, TryDeliver, RELIEF_PATIENCE};
 
@@ -613,22 +611,24 @@ impl PoolShared {
     fn pausing(&self) -> bool {
         self.hook.as_ref().is_some_and(|h| h.pause_requested())
     }
+
+    fn kernel(&self) -> Kernel<'_> {
+        Kernel::new(&self.fabric, self.tele.as_ref(), &*self.clock)
+    }
 }
 
 impl Director for PoolDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Arc::new(Fabric::build_observed(workflow, observer)?);
+        let fabric = Arc::new(fire::open_fabric(
+            workflow,
+            self.telemetry.as_ref(),
+            self.hook.as_ref(),
+        )?);
         // Task-parking semantics: a full Block port hands the event back
         // (try_deliver) instead of blocking an OS thread, so the fabric's
         // own thread-blocking path stays off.
         fabric.set_blocking(false);
         let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
         let n_actors = workflow.actor_count();
         // Under an adaptive config the configured worker count is the
         // *initial* active set (clamped into the bounds) and threads are
@@ -724,16 +724,10 @@ impl Director for PoolDirector {
 
         let mut tasks = Vec::with_capacity(n_actors);
         let mut is_source = Vec::with_capacity(n_actors);
-        for id in workflow.actor_ids() {
+        let contexts = fire::contexts(workflow, self.telemetry.as_ref());
+        for (id, ctx) in workflow.actor_ids().zip(contexts) {
             let node = workflow.node_mut(id);
-            let n_inputs = node.signature.inputs.len();
             is_source.push(node.is_source);
-            let mut ctx = QueueContext::new(n_inputs);
-            if let Some(t) = &self.telemetry {
-                // Actor-side shed reports (shedding operators) land in the
-                // same per-actor events_shed metric as channel sheds.
-                ctx.set_shed_observer(t.observer.clone(), id);
-            }
             tasks.push(Mutex::new(TaskState {
                 actor: node.take_actor(),
                 ctx,
@@ -768,18 +762,15 @@ impl Director for PoolDirector {
         if !resuming {
             for a in 0..n_actors {
                 let mut task = shared.tasks[a].lock();
-                let now = self.clock.now();
-                task.ctx.set_now(now);
                 let TaskState { actor, ctx, .. } = &mut *task;
-                let init = actor.initialize(ctx).and_then(|()| {
-                    let (init_emissions, _) = ctx.take_emissions();
-                    let n = fabric.route(ActorId(a), init_emissions, None, self.clock.now())?;
-                    shared.routed.fetch_add(n, Ordering::Relaxed);
-                    Ok(())
-                });
-                if let Err(e) = init {
-                    shared.record_error(e);
-                    finalize_task(&shared, &mut task, false);
+                match shared.kernel().initialize(ActorId(a), &mut **actor, ctx) {
+                    Ok(n) => {
+                        shared.routed.fetch_add(n, Ordering::Relaxed);
+                    }
+                    Err(e) => {
+                        shared.record_error(e);
+                        finalize_task(&shared, &mut task, false);
+                    }
                 }
             }
         }
@@ -837,25 +828,27 @@ impl Director for PoolDirector {
         let quiescing = self.hook.as_ref().is_some_and(|h| h.pause_requested())
             && shared.first_error.lock().is_none()
             && !shared.should_stop();
+        let mut staged = Vec::new();
         for (a, task) in shared.tasks.into_iter().enumerate() {
-            let mut task = task.into_inner();
+            let TaskState {
+                actor,
+                ctx,
+                pending_out,
+                ..
+            } = task.into_inner();
             if quiescing {
                 // Complete any in-flight delivery (blocking is off, so a
                 // full Block port over-admits rather than tearing the
-                // snapshot), then stage undelivered context windows back
-                // at the front of the inbox.
-                while let Some((dest, event)) = task.pending_out.pop_front() {
+                // snapshot).
+                for (dest, event) in pending_out {
                     fabric.deliver(dest, event, self.clock.now())?;
                 }
-                let staged = task.ctx.take_staged();
-                fabric.inbox(ActorId(a)).push_front_batch(staged);
+                staged.push((ActorId(a), ctx));
             }
-            workflow.node_mut(ActorId(a)).return_actor(task.actor);
+            workflow.node_mut(ActorId(a)).return_actor(actor);
         }
-        if quiescing {
-            if let Some(hook) = &self.hook {
-                hook.deposit(fabric.capture_state());
-            }
+        if let Some(hook) = self.hook.as_ref().filter(|_| quiescing) {
+            fire::quiesce(&fabric, hook, staged.iter_mut().map(|(id, ctx)| (*id, ctx)));
         }
         let report = RunReport {
             firings: shared.firings.load(Ordering::Relaxed),
@@ -1008,33 +1001,23 @@ fn finalize_task(shared: &PoolShared, task: &mut TaskState, run_wrapup: bool) {
             break;
         }
     }
-    if run_wrapup {
+    let closed = if run_wrapup {
         // The actor's final chance to emit while its outputs are still
         // open; any queued `pending_out` events went out first above.
-        task.ctx.set_now(shared.clock.now());
-        match task.actor.finish(&mut task.ctx) {
-            Ok(()) => {
-                let (emissions, trigger) = task.ctx.take_emissions();
-                match shared
-                    .fabric
-                    .route(task.id, emissions, trigger.as_ref(), shared.clock.now())
-                {
-                    Ok(n) => {
-                        shared.routed.fetch_add(n, Ordering::Relaxed);
-                    }
-                    Err(e) => shared.record_error(e),
-                }
-            }
-            Err(e) => shared.record_error(e),
-        }
-        if let Err(e) = task.actor.wrapup() {
+        let TaskState { actor, ctx, id, .. } = task;
+        let finished = shared.kernel().finish(*id, &mut **actor, ctx);
+        if let Err(e) = actor.wrapup() {
             shared.record_error(e);
         }
-    }
-    if let Err(e) = shared
-        .fabric
-        .close_actor_outputs(task.id, shared.clock.now())
-    {
+        finished.map(|n| {
+            shared.routed.fetch_add(n, Ordering::Relaxed);
+        })
+    } else {
+        shared
+            .fabric
+            .close_actor_outputs(task.id, shared.clock.now())
+    };
+    if let Err(e) = closed {
         shared.record_error(e);
     }
     if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -1082,58 +1065,11 @@ fn step_source(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<St
             return Ok(StepOutcome::Idle);
         }
     }
-    let fire_start = clock.now();
-    task.ctx.set_now(fire_start);
-    let mut fired = false;
-    let mut emitted_any = false;
-    let mut tokens_out = 0u64;
-    let mut complete = true;
-    if task.actor.prefire(&mut task.ctx)? {
-        if let Some(t) = &shared.tele {
-            t.observer.on_fire_start(task.id, fire_start);
-        }
-        task.actor.fire(&mut task.ctx)?;
-        let (emissions, _) = task.ctx.take_emissions();
-        emitted_any = !emissions.is_empty();
-        tokens_out = emissions.len() as u64;
-        fired = true;
-        shared.firings.fetch_add(1, Ordering::Relaxed);
-        hub.fires[w].fetch_add(1, Ordering::Relaxed);
-        complete = deliver_emissions(shared, task, emissions, None, clock.now())?;
-        let expired = shared.fabric.route_expired(clock.now())?;
-        shared.routed.fetch_add(expired, Ordering::Relaxed);
+    let (f, stop) = fire_task(shared, w, task)?;
+    if let Some(stop) = stop {
+        return Ok(stop);
     }
-    if fired {
-        let ended = clock.now();
-        let busy = ended.since(fire_start);
-        hub.busy_us[w].fetch_add(busy.as_micros(), Ordering::Relaxed);
-        if hub.feed_stats.load(Ordering::Relaxed) {
-            hub.live.record_fire(task.id.0, busy, 0, tokens_out, None);
-        }
-        hub.policy.read().on_fire(task.id.0, busy);
-        if let Some(t) = &shared.tele {
-            t.observer.on_fire_end(&FireRecord {
-                actor: task.id,
-                started: fire_start,
-                ended,
-                busy,
-                events_in: 0,
-                tokens_out,
-                origin: None,
-                trigger: None,
-                fired,
-            });
-            t.sample(ended);
-        }
-    }
-    if !complete {
-        task.needs_postfire = true;
-        return Ok(StepOutcome::Parked);
-    }
-    if !task.actor.postfire(&mut task.ctx)? {
-        return Ok(StepOutcome::Finish);
-    }
-    if !emitted_any && matches!(task.actor.next_arrival(), None | Some(Timestamp::ZERO)) {
+    if f.tokens_out == 0 && matches!(task.actor.next_arrival(), None | Some(Timestamp::ZERO)) {
         // Nothing to say and no timetable to follow (idle push source):
         // back off via the timer instead of spinning on the worker.
         hub.register_deadline(clock.now().plus(SOURCE_BACKOFF), task.id.0);
@@ -1143,85 +1079,12 @@ fn step_source(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<St
 }
 
 fn step_internal(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
-    let hub = &shared.hub;
-    let clock = &shared.clock;
     let inbox = shared.fabric.inbox(task.id);
     match inbox.try_pop() {
         Some((port, window)) => {
-            let fire_start = clock.now();
-            task.ctx.set_now(fire_start);
-            if shared.fabric.wants_event_hooks() {
-                if let Some(t) = &shared.tele {
-                    t.observer.on_dequeue(
-                        task.id,
-                        port,
-                        window.trigger_wave(),
-                        window.formed_at,
-                        fire_start,
-                    );
-                }
-            }
-            task.ctx.deliver(port, window);
-            let mut fired = false;
-            let mut events_in = 0u64;
-            let mut tokens_out = 0u64;
-            let mut origin = None;
-            let mut trigger_tag = None;
-            let mut complete = true;
-            // A prefire refusal reports neither a start nor a record — the
-            // window stays pending in the context, exactly as under the
-            // threaded director.
-            if task.actor.prefire(&mut task.ctx)? {
-                if let Some(t) = &shared.tele {
-                    t.observer.on_fire_start(task.id, fire_start);
-                }
-                task.actor.fire(&mut task.ctx)?;
-                events_in = task.ctx.consumed_events;
-                let (emissions, trigger) = task.ctx.take_emissions();
-                tokens_out = emissions.len() as u64;
-                origin = trigger.as_ref().map(|wv| wv.origin());
-                fired = true;
-                shared.firings.fetch_add(1, Ordering::Relaxed);
-                hub.fires[w].fetch_add(1, Ordering::Relaxed);
-                complete =
-                    deliver_emissions(shared, task, emissions, trigger.as_ref(), clock.now())?;
-                let expired = shared.fabric.route_expired(clock.now())?;
-                shared.routed.fetch_add(expired, Ordering::Relaxed);
-                trigger_tag = trigger;
-            }
-            if fired {
-                let ended = clock.now();
-                let busy = ended.since(fire_start);
-                hub.busy_us[w].fetch_add(busy.as_micros(), Ordering::Relaxed);
-                if hub.feed_stats.load(Ordering::Relaxed) {
-                    let wait = origin.map(|o| ended.since(o));
-                    hub.live
-                        .record_fire(task.id.0, busy, events_in, tokens_out, wait);
-                }
-                hub.policy.read().on_fire(task.id.0, busy);
-                if let Some(t) = &shared.tele {
-                    t.observer.on_fire_end(&FireRecord {
-                        actor: task.id,
-                        started: fire_start,
-                        ended,
-                        busy,
-                        events_in,
-                        tokens_out,
-                        origin,
-                        trigger: trigger_tag,
-                        fired,
-                    });
-                    t.sample(ended);
-                }
-            }
-            if !complete {
-                task.needs_postfire = true;
-                return Ok(StepOutcome::Parked);
-            }
-            if !task.actor.postfire(&mut task.ctx)? {
-                return Ok(StepOutcome::Finish);
-            }
-            Ok(StepOutcome::Requeue)
+            shared.kernel().stage(task.id, &mut task.ctx, port, window);
+            let (_, stop) = fire_task(shared, w, task)?;
+            Ok(stop.unwrap_or(StepOutcome::Requeue))
         }
         None => {
             if inbox.all_ports_closed() {
@@ -1239,87 +1102,66 @@ fn step_internal(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<
                 .filter_map(|r| r.next_deadline())
                 .min()
             {
-                hub.register_deadline(deadline, task.id.0);
+                shared.hub.register_deadline(deadline, task.id.0);
             }
             Ok(StepOutcome::Idle)
         }
     }
 }
 
-/// Stamp and deliver one firing's emissions. Without `Block` ports the
-/// whole batch goes through the fabric's batched route. With them, events
-/// are stamped up front (so wave serials match the batched path exactly)
-/// and admitted one by one; a full `Block` port parks the task with the
-/// remainder queued in `pending_out`. Returns whether delivery completed.
-fn deliver_emissions(
+/// One firing attempt of a task through the kernel, plus the pool's own
+/// accounting (worker counters, live statistics, the policy's feedback).
+/// With `Block` ports in the fabric the stamped events are parked in
+/// `pending_out` and admitted one by one; a full port parks the task with
+/// the remainder queued and its postfire deferred. Returns the attempt's
+/// outcome, plus the step outcome when the step ends here (parked, or
+/// postfire finished the actor).
+fn fire_task(
     shared: &PoolShared,
+    w: usize,
     task: &mut TaskState,
-    emissions: Vec<(usize, crate::token::Token)>,
-    parent: Option<&WaveTag>,
-    now: Timestamp,
-) -> Result<bool> {
-    if emissions.is_empty() {
-        return Ok(true);
-    }
-    if !shared.has_block_ports {
-        let n = shared.fabric.route(task.id, emissions, parent, now)?;
-        shared.routed.fetch_add(n, Ordering::Relaxed);
-        return Ok(true);
-    }
-    let n = emissions.len();
-    let fine = shared.fabric.wants_event_hooks();
-    let mut delivered = 0u64;
-    // Same admission-side shed gate as Fabric::route: new waves only.
-    let shed_ppm = if parent.is_none() {
-        shared.fabric.shed_ratio_ppm()
-    } else {
-        0
+) -> Result<(Fired, Option<StepOutcome>)> {
+    let hub = &shared.hub;
+    let kernel = shared.kernel();
+    let f = {
+        let TaskState {
+            actor,
+            ctx,
+            id,
+            is_source,
+            pending_out,
+            ..
+        } = &mut *task;
+        if shared.has_block_ports {
+            let mut park = |dest: PortRef, events: Vec<CwEvent>| {
+                pending_out.extend(events.into_iter().map(|e| (dest, e)));
+                Ok(())
+            };
+            kernel.fire_with(*id, *is_source, &mut **actor, ctx, None, Some(&mut park))?
+        } else {
+            kernel.fire(*id, *is_source, &mut **actor, ctx)?
+        }
     };
-    for (i, (port, token)) in emissions.into_iter().enumerate() {
-        let dests = shared.fabric.route_targets(task.id, port);
-        if dests.is_empty() {
-            continue;
+    shared.routed.fetch_add(f.routed, Ordering::Relaxed);
+    if f.fired {
+        shared.firings.fetch_add(1, Ordering::Relaxed);
+        hub.fires[w].fetch_add(1, Ordering::Relaxed);
+        hub.busy_us[w].fetch_add(f.busy.as_micros(), Ordering::Relaxed);
+        if hub.feed_stats.load(Ordering::Relaxed) {
+            let wait = f.origin.map(|o| f.ended.since(o));
+            hub.live
+                .record_fire(task.id.0, f.busy, f.events_in, f.tokens_out, wait);
         }
-        if shed_ppm != 0 && !shared.fabric.admit_past_shed_gate(shed_ppm) {
-            if let Some(obs) = shared.fabric.observer() {
-                for dest in dests {
-                    obs.on_shed(dest.actor, dest.port, 1, now);
-                }
-            }
-            continue;
-        }
-        let event = match parent {
-            None => CwEvent::external(token, now),
-            Some(parent) => CwEvent::derived(token, now, parent, (i + 1) as u32, i + 1 == n),
-        };
-        if let Some(obs) = shared.fabric.observer() {
-            if fine && parent.is_none() {
-                obs.on_admit(task.id, &event.wave, now);
-            }
-            // Block never drops, so each stamped event will reach its
-            // destination edge; report the edges with the route below.
-            for dest in dests {
-                obs.on_route_edge(task.id, dest.actor, dest.port, 1, now);
-            }
-        }
-        delivered += dests.len() as u64;
-        let (last, fanned) = dests.split_last().expect("dests is non-empty");
-        for dest in fanned {
-            task.pending_out.push_back((*dest, event.clone()));
-        }
-        task.pending_out.push_back((*last, event));
+        hub.policy.read().on_fire(task.id.0, f.busy);
     }
-    if delivered == 0 {
-        return Ok(true);
+    if !task.pending_out.is_empty() && !flush_pending(shared, task)? {
+        task.needs_postfire = true;
+        return Ok((f, Some(StepOutcome::Parked)));
     }
-    // Block never drops, so every stamped event will eventually be
-    // admitted: count and report the route now, deliver (possibly across
-    // several task resumptions) below.
-    shared.routed.fetch_add(delivered, Ordering::Relaxed);
-    if let Some(obs) = shared.fabric.observer() {
-        obs.on_route(task.id, delivered, now);
+    if !task.actor.postfire(&mut task.ctx)? {
+        return Ok((f, Some(StepOutcome::Finish)));
     }
-    flush_pending(shared, task)
+    Ok((f, None))
 }
 
 /// Admit queued stamped events until done or a full `Block` port parks

@@ -18,10 +18,11 @@ use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{SharedClock, VirtualClock};
 
-use super::{Director, Fabric, QueueContext, RunReport};
+use super::fire::{self, Kernel};
+use super::{Director, RunReport};
 
 /// Greatest common divisor.
 fn gcd(a: u64, b: u64) -> u64 {
@@ -250,23 +251,13 @@ impl SdfDirector {
 impl Director for SdfDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
         let schedule = compile_schedule(workflow)?;
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
-        let resuming = self.hook.as_ref().is_some_and(|h| h.resuming());
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
-        let started = self.clock.now();
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Start, started);
-        }
+        let tele = self.telemetry.as_ref();
+        let fabric = fire::open_fabric(workflow, tele, self.hook.as_ref())?;
+        let kernel = Kernel::new(&fabric, tele, &*self.clock);
+        let started = kernel.now();
+        kernel.phase(RunPhase::Start);
         let mut report = RunReport::default();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| QueueContext::new(workflow.node(id).signature.inputs.len()))
-            .collect();
+        let mut contexts = fire::contexts(workflow, tele);
         let consume: Vec<Vec<u32>> = workflow
             .actor_ids()
             .map(|id| {
@@ -278,13 +269,10 @@ impl Director for SdfDirector {
 
         // Initialize all actors (skipped when resuming from a checkpoint:
         // restored actor state already reflects a past initialization).
-        if !resuming {
+        if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
             for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.0];
-                ctx.set_now(self.clock.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                report.events_routed += fabric.route(id, emissions, None, self.clock.now())?;
+                let actor = workflow.node_mut(id).actor_mut();
+                report.events_routed += kernel.initialize(id, actor, &mut contexts[id.0])?;
             }
         }
 
@@ -302,120 +290,64 @@ impl Director for SdfDirector {
             if self.telemetry.as_ref().is_some_and(|t| t.should_stop()) {
                 break;
             }
-            if self.hook.as_ref().is_some_and(|h| h.pause_requested()) {
+            if let Some(hook) = self.hook.as_ref().filter(|h| h.pause_requested()) {
                 // Iteration boundaries are SDF's natural quiescent points:
                 // the balance equations guarantee every token produced this
                 // iteration has been consumed, so snapshot here.
-                for id in workflow.actor_ids() {
-                    let staged = contexts[id.0].take_staged();
-                    fabric.inbox(id).push_front_batch(staged);
-                }
-                if let Some(hook) = &self.hook {
-                    hook.deposit(fabric.capture_state());
-                }
-                report.elapsed = self.clock.now().since(started);
-                if let Some(t) = &self.telemetry {
-                    t.observer.on_run_phase(RunPhase::End, self.clock.now());
-                }
+                fire::quiesce(&fabric, hook, workflow.actor_ids().zip(&mut contexts));
+                report.elapsed = kernel.now().since(started);
+                kernel.phase(RunPhase::End);
                 return Ok(report);
             }
             iteration += 1;
             for &a in &schedule.order {
                 let id = crate::graph::ActorId(a);
-                'reps: for _rep in 0..schedule.repetitions[a] {
-                    let now = self.clock.now();
+                let is_source = workflow.node(id).is_source;
+                for _rep in 0..schedule.repetitions[a] {
                     let ctx = &mut contexts[a];
-                    ctx.set_now(now);
                     // Deliver the declared number of windows per input port.
                     let inbox = fabric.inbox(id);
-                    let mut staged: Vec<(usize, crate::window::Window)> = Vec::new();
                     let mut counts = vec![0u32; consume[a].len()];
+                    let mut starved = false;
                     while counts
                         .iter()
                         .zip(&consume[a])
                         .any(|(have, need)| have < need)
                     {
-                        match inbox.try_pop() {
-                            Some((port, w)) => {
-                                counts[port] += 1;
-                                if fabric.wants_event_hooks() {
-                                    if let Some(t) = &self.telemetry {
-                                        t.observer.on_dequeue(
-                                            id,
-                                            port,
-                                            w.trigger_wave(),
-                                            w.formed_at,
-                                            now,
-                                        );
-                                    }
-                                }
-                                staged.push((port, w));
-                            }
-                            None => {
-                                if workflow.node(id).is_source || consume[a].is_empty() {
-                                    break;
-                                }
-                                if stopping {
-                                    // The drying source under-produced this
-                                    // iteration: hand the partial delivery
-                                    // to the context (a later rep or the
-                                    // actor's own loop may still cope) and
-                                    // skip this firing.
-                                    for (port, w) in staged {
-                                        ctx.deliver(port, w);
-                                    }
-                                    continue 'reps;
-                                }
-                                return Err(Error::Sdf(format!(
-                                    "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
-                                    workflow.node(id).name
-                                )));
-                            }
+                        let Some((port, w)) = inbox.try_pop() else {
+                            starved = !is_source && !consume[a].is_empty();
+                            break;
+                        };
+                        counts[port] += 1;
+                        kernel.stage(id, ctx, port, w);
+                    }
+                    if starved {
+                        if !stopping {
+                            return Err(Error::Sdf(format!(
+                                "actor `{}` starved mid-schedule (rates inconsistent with behaviour)",
+                                workflow.node(id).name
+                            )));
                         }
+                        // The drying source under-produced this iteration:
+                        // the partial delivery stays in the context (a later
+                        // rep or the actor's own loop may still cope) and
+                        // this firing is skipped.
+                        continue;
                     }
-                    for (port, w) in staged {
-                        ctx.deliver(port, w);
+                    let actor = workflow.node_mut(id).actor_mut();
+                    let f = kernel.fire(id, is_source, actor, ctx)?;
+                    if f.fired {
+                        report.firings += 1;
+                    } else if is_source {
+                        // The stream is over; finish the iteration.
+                        stopping = true;
                     }
-                    let node = workflow.node_mut(id);
-                    let actor = node.actor_mut();
-                    if let Some(t) = &self.telemetry {
-                        t.observer.on_fire_start(id, now);
-                    }
-                    if !actor.prefire(ctx)? {
-                        if workflow.node(id).is_source {
-                            // The stream is over; finish the iteration.
-                            stopping = true;
-                        }
-                        continue 'reps;
-                    }
-                    actor.fire(ctx)?;
-                    report.firings += 1;
-                    let events_in = ctx.consumed_events;
-                    let (emissions, trigger) = ctx.take_emissions();
-                    let tokens_out = emissions.len() as u64;
-                    let origin = trigger.as_ref().map(|w| w.origin());
-                    report.events_routed +=
-                        fabric.route(id, emissions, trigger.as_ref(), self.clock.now())?;
-                    if let Some(t) = &self.telemetry {
-                        let ended = self.clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: now,
-                            ended,
-                            busy: ended.since(now),
-                            events_in,
-                            tokens_out,
-                            origin,
-                            trigger,
-                            fired: true,
-                        });
-                        t.sample(ended);
-                        if t.should_stop() {
-                            // Finish the schedule iteration (downstream
-                            // actors still consume in-flight tokens), then
-                            // end the run — same wind-down as a dry source.
-                            stopping = true;
-                        }
+                    report.events_routed += f.routed;
+                    if self.telemetry.as_ref().is_some_and(|t| t.should_stop()) {
+                        // Finish the schedule iteration (downstream actors
+                        // still consume in-flight tokens), then end the run —
+                        // same wind-down as a dry source.
+                        stopping = true;
                     }
                     if !actor.postfire(ctx)? {
                         stopping = true;
@@ -427,23 +359,16 @@ impl Director for SdfDirector {
             }
         }
 
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::Wrapup, self.clock.now());
+        kernel.phase(RunPhase::Wrapup);
+        for id in workflow.actor_ids() {
+            let actor = workflow.node_mut(id).actor_mut();
+            report.events_routed += kernel.finish(id, actor, &mut contexts[id.0])?;
         }
         for id in workflow.actor_ids() {
-            let ctx = &mut contexts[id.0];
-            ctx.set_now(self.clock.now());
-            workflow.node_mut(id).actor_mut().finish(ctx)?;
-            let (emissions, trigger) = ctx.take_emissions();
-            report.events_routed +=
-                fabric.route(id, emissions, trigger.as_ref(), self.clock.now())?;
             workflow.node_mut(id).actor_mut().wrapup()?;
-            fabric.close_actor_outputs(id, self.clock.now())?;
         }
-        report.elapsed = self.clock.now().since(started);
-        if let Some(t) = &self.telemetry {
-            t.observer.on_run_phase(RunPhase::End, self.clock.now());
-        }
+        report.elapsed = kernel.now().since(started);
+        kernel.phase(RunPhase::End);
         Ok(report)
     }
 

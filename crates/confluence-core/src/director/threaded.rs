@@ -21,9 +21,10 @@ use crate::checkpoint::QuiesceHook;
 use crate::error::{Error, Result};
 use crate::graph::{ActorId, Workflow};
 use crate::receiver::InboxPop;
-use crate::telemetry::{FireRecord, RunPhase, Telemetry};
+use crate::telemetry::{RunPhase, Telemetry};
 use crate::time::{Clock, SharedClock, Timestamp, WallClock};
 
+use super::fire::{self, Kernel};
 use super::{Director, Fabric, QueueContext, RunReport};
 
 /// Longest uninterrupted block/sleep when a cooperative stop may be
@@ -94,16 +95,10 @@ struct ControllerOutcome {
 
 impl Director for ThreadedDirector {
     fn run(&mut self, workflow: &mut Workflow) -> Result<RunReport> {
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
+        let fabric = fire::open_fabric(workflow, self.telemetry.as_ref(), self.hook.as_ref())?;
         // PN semantics: bounded channels really block the writing actor
         // thread (cooperative directors leave this off).
         fabric.set_blocking(true);
-        if let Some(hook) = &self.hook {
-            if let Some(state) = hook.take_restore() {
-                fabric.restore_state(state)?;
-            }
-        }
         let fabric = Arc::new(fabric);
         let started = self.clock.now();
         if let Some(t) = &self.telemetry {
@@ -112,12 +107,12 @@ impl Director for ThreadedDirector {
         let halt = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(workflow.actor_count()));
         let mut handles = Vec::with_capacity(workflow.actor_count());
-        for id in workflow.actor_ids() {
+        let contexts = fire::contexts(workflow, self.telemetry.as_ref());
+        for (id, ctx) in workflow.actor_ids().zip(contexts) {
             let node = workflow.node_mut(id);
             let actor = node.take_actor();
             let name = node.name.clone();
             let is_source = node.is_source;
-            let n_inputs = node.signature.inputs.len();
             let fabric = fabric.clone();
             let clock = self.clock.clone();
             let tele = self.telemetry.clone();
@@ -128,7 +123,9 @@ impl Director for ThreadedDirector {
                 .name(format!("cwf-{name}"))
                 .spawn(move || {
                     let _guard = guard;
-                    controller(id, actor, is_source, n_inputs, &fabric, &*clock, tele, hook, halt)
+                    controller(
+                        id, actor, is_source, ctx, &fabric, &*clock, tele, hook, halt,
+                    )
                 })
                 .map_err(|e| Error::Director(format!("failed to spawn actor thread: {e}")))?;
             handles.push((id, handle));
@@ -193,9 +190,10 @@ impl Director for ThreadedDirector {
         }
         if let (Some(hook), None) = (&self.hook, &first_error) {
             if hook.pause_requested() {
-                // Every thread has joined: the fabric is exclusively ours,
-                // so the destructive capture is safe.
-                hook.deposit(fabric.capture_state());
+                // Every thread has joined (each unstaged its own context):
+                // the fabric is exclusively ours, so the destructive
+                // capture is safe.
+                fire::quiesce(&fabric, hook, std::iter::empty());
             }
         }
         match first_error {
@@ -222,38 +220,31 @@ fn controller(
     id: ActorId,
     mut actor: Box<dyn Actor>,
     is_source: bool,
-    n_inputs: usize,
+    mut ctx: QueueContext,
     fabric: &Fabric,
     clock: &dyn Clock,
     tele: Option<Telemetry>,
     hook: Option<Arc<QuiesceHook>>,
     halt: Arc<AtomicBool>,
 ) -> ControllerOutcome {
-    let mut ctx = QueueContext::new(n_inputs);
-    if let Some(t) = &tele {
-        ctx.set_shed_observer(t.observer.clone(), id);
-    }
+    let kernel = Kernel::new(fabric, tele.as_ref(), clock);
     let mut firings = 0u64;
     let mut routed = 0u64;
-    let should_stop = |tele: &Option<Telemetry>| tele.as_ref().is_some_and(|t| t.should_stop());
+    let mut closed = false;
+    let should_stop = || tele.as_ref().is_some_and(|t| t.should_stop());
     // Sources park the moment a pause lands; consumers keep draining until
     // the quiesce monitor confirms the network is quiet and sets `halt`.
-    let pausing = |hook: &Option<Arc<QuiesceHook>>| {
-        hook.as_ref().is_some_and(|h| h.pause_requested())
-    };
+    let pausing = || hook.as_ref().is_some_and(|h| h.pause_requested());
     let bounded_waits = tele.is_some() || hook.is_some();
 
     let result = (|| -> Result<()> {
-        ctx.set_now(clock.now());
         if !hook.as_ref().is_some_and(|h| h.resuming()) {
-            actor.initialize(&mut ctx)?;
-            let (init_emissions, _) = ctx.take_emissions();
-            routed += fabric.route(id, init_emissions, None, clock.now())?;
+            routed += kernel.initialize(id, &mut *actor, &mut ctx)?;
         }
 
         if is_source {
             loop {
-                if should_stop(&tele) || pausing(&hook) {
+                if should_stop() || pausing() {
                     break;
                 }
                 // Pace by the source's timetable (wall-clock realization of
@@ -265,7 +256,7 @@ fn controller(
                         // Sleep in slices so a stop or pause request does
                         // not have to wait out a long inter-arrival gap.
                         while !remaining.is_zero() {
-                            if should_stop(&tele) || pausing(&hook) {
+                            if should_stop() || pausing() {
                                 break;
                             }
                             let slice = if bounded_waits {
@@ -276,51 +267,18 @@ fn controller(
                             thread::sleep(slice);
                             remaining = remaining.saturating_sub(slice);
                         }
-                        if should_stop(&tele) || pausing(&hook) {
+                        if should_stop() || pausing() {
                             break;
                         }
                     }
                 }
-                let fire_start = clock.now();
-                ctx.set_now(fire_start);
-                let mut emitted_any = false;
-                let mut fired = false;
-                let mut tokens_out = 0u64;
-                if actor.prefire(&mut ctx)? {
-                    if let Some(t) = &tele {
-                        t.observer.on_fire_start(id, fire_start);
-                    }
-                    actor.fire(&mut ctx)?;
-                    let (emissions, _) = ctx.take_emissions();
-                    emitted_any = !emissions.is_empty();
-                    tokens_out = emissions.len() as u64;
-                    fired = true;
-                    firings += 1;
-                    routed += fabric.route(id, emissions, None, clock.now())?;
-                    routed += fabric.route_expired(clock.now())?;
-                }
-                if fired {
-                    if let Some(t) = &tele {
-                        let ended = clock.now();
-                        t.observer.on_fire_end(&FireRecord {
-                            actor: id,
-                            started: fire_start,
-                            ended,
-                            busy: ended.since(fire_start),
-                            events_in: 0,
-                            tokens_out,
-                            origin: None,
-                            trigger: None,
-                            fired,
-                        });
-                        t.sample(ended);
-                    }
-                }
+                let f = kernel.fire(id, true, &mut *actor, &mut ctx)?;
+                firings += f.fired as u64;
+                routed += f.routed;
                 if !actor.postfire(&mut ctx)? {
                     break;
                 }
-                if !emitted_any
-                    && matches!(actor.next_arrival(), None | Some(Timestamp::ZERO))
+                if f.tokens_out == 0 && matches!(actor.next_arrival(), None | Some(Timestamp::ZERO))
                 {
                     // A source with nothing to say right now and no future
                     // arrival to sleep toward (idle push source, or a
@@ -332,7 +290,7 @@ fn controller(
         } else {
             let inbox = fabric.inbox(id).clone();
             loop {
-                if should_stop(&tele) || halt.load(Ordering::SeqCst) {
+                if should_stop() || halt.load(Ordering::SeqCst) {
                     break;
                 }
                 let now = clock.now();
@@ -348,61 +306,10 @@ fn controller(
                 }
                 match inbox.pop_blocking(timeout) {
                     InboxPop::Window(port, window) => {
-                        let fire_start = clock.now();
-                        ctx.set_now(fire_start);
-                        if fabric.wants_event_hooks() {
-                            if let Some(t) = &tele {
-                                t.observer.on_dequeue(
-                                    id,
-                                    port,
-                                    window.trigger_wave(),
-                                    window.formed_at,
-                                    fire_start,
-                                );
-                            }
-                        }
-                        ctx.deliver(port, window);
-                        let mut fired = false;
-                        let mut events_in = 0u64;
-                        let mut tokens_out = 0u64;
-                        let mut origin = None;
-                        let mut trigger_tag = None;
-                        // Fire telemetry mirrors the source branch: a
-                        // prefire refusal reports neither a start nor a
-                        // record, so busy-time stats agree across paths.
-                        if actor.prefire(&mut ctx)? {
-                            if let Some(t) = &tele {
-                                t.observer.on_fire_start(id, fire_start);
-                            }
-                            actor.fire(&mut ctx)?;
-                            events_in = ctx.consumed_events;
-                            let (emissions, trigger) = ctx.take_emissions();
-                            tokens_out = emissions.len() as u64;
-                            origin = trigger.as_ref().map(|w| w.origin());
-                            fired = true;
-                            firings += 1;
-                            routed +=
-                                fabric.route(id, emissions, trigger.as_ref(), clock.now())?;
-                            routed += fabric.route_expired(clock.now())?;
-                            trigger_tag = trigger;
-                        }
-                        if fired {
-                            if let Some(t) = &tele {
-                                let ended = clock.now();
-                                t.observer.on_fire_end(&FireRecord {
-                                    actor: id,
-                                    started: fire_start,
-                                    ended,
-                                    busy: ended.since(fire_start),
-                                    events_in,
-                                    tokens_out,
-                                    origin,
-                                    trigger: trigger_tag,
-                                    fired,
-                                });
-                                t.sample(ended);
-                            }
-                        }
+                        kernel.stage(id, &mut ctx, port, window);
+                        let f = kernel.fire(id, false, &mut *actor, &mut ctx)?;
+                        firings += f.fired as u64;
+                        routed += f.routed;
                         if !actor.postfire(&mut ctx)? {
                             break;
                         }
@@ -412,32 +319,28 @@ fn controller(
                         // receivers to evaluate their window semantics.
                         let now = clock.now();
                         fabric.poll_actor(id, now);
-                        let _ = fabric.route_expired(now)?;
+                        routed += fabric.route_expired(now)?;
                     }
                     InboxPop::Closed => break,
                 }
             }
         }
-        if pausing(&hook) && !should_stop(&tele) {
+        if pausing() && !should_stop() {
             // Quiescing: hand any staged-but-unconsumed windows back so the
             // checkpoint capture sees them, and skip the end-of-stream
             // tail entirely — the actor will resume, not finish.
-            let staged = ctx.take_staged();
-            fabric.inbox(id).push_front_batch(staged);
+            fire::unstage(fabric, id, &mut ctx);
             return Ok(());
         }
         // Inputs drained (or stream ended): the actor's final chance to
         // emit while its outputs are still open.
-        ctx.set_now(clock.now());
-        actor.finish(&mut ctx)?;
-        let (finish_emissions, trigger) = ctx.take_emissions();
-        routed += fabric.route(id, finish_emissions, trigger.as_ref(), clock.now())?;
-        routed += fabric.route_expired(clock.now())?;
+        closed = true;
+        routed += kernel.finish(id, &mut *actor, &mut ctx)?;
         actor.wrapup()
     })();
 
-    let quiescing = result.is_ok() && pausing(&hook) && !should_stop(&tele);
-    let close_error = if quiescing {
+    let quiescing = result.is_ok() && pausing() && !should_stop();
+    let close_error = if quiescing || closed {
         None
     } else {
         fabric.close_actor_outputs(id, clock.now()).err()

@@ -364,6 +364,10 @@ pub struct Engine {
     watchdog: Option<Arc<StallWatchdog>>,
     /// The live ops server, when [`ExecConfig::ops_endpoint`] is on.
     ops: Option<OpsServer>,
+    /// Why the configured ops endpoint could not start. The builder chain
+    /// has no `Result` channel, so the error is kept here and returned by
+    /// the next run.
+    ops_error: Option<Error>,
 }
 
 /// The handle a fully-configured [`Engine`] builder chain yields; it *is*
@@ -393,6 +397,7 @@ impl Engine {
             series: None,
             watchdog: None,
             ops: None,
+            ops_error: None,
         }
     }
 
@@ -466,12 +471,21 @@ impl Engine {
                 tracer: self.tracer.clone(),
                 watchdog: watchdog.clone(),
             };
-            // An unbindable ops address is a deployment error worth
-            // failing loudly on; the builder chain has no Result channel.
-            let server = OpsServer::bind(&ops_cfg, state)
-                .unwrap_or_else(|e| panic!("bind ops endpoint {}: {e}", ops_cfg.addr));
+            // An unbindable ops address is a deployment error: the next
+            // run fails with it instead of running unobserved.
+            match OpsServer::bind(&ops_cfg, state) {
+                Ok(server) => {
+                    self.ops = Some(server);
+                    self.ops_error = None;
+                }
+                Err(e) => {
+                    self.ops_error = Some(Error::Director(format!(
+                        "bind ops endpoint {}: {e}",
+                        ops_cfg.addr
+                    )));
+                }
+            }
             self.watchdog = Some(watchdog);
-            self.ops = Some(server);
         }
         self
     }
@@ -629,6 +643,9 @@ impl Engine {
     }
 
     fn run_inner(&mut self, stop: Option<StopCondition>) -> Result<RunReport> {
+        if let Some(e) = self.ops_error.take() {
+            return Err(e);
+        }
         if self.checkpoint.is_none() && self.recover.is_none() {
             return self.run_plain(stop);
         }

@@ -60,9 +60,11 @@ impl CwEvent {
 /// Stamps the productions of a single actor firing with consecutive wave
 /// serial numbers, marking the last one.
 ///
-/// Directors buffer a firing's emissions, then run them through a
-/// `WaveStamper` once the firing completes (only then is the last
-/// production known).
+/// Stamping waits until the firing completes (only then is the last
+/// production known). Directors stamp through
+/// [`Fabric::stamp`](crate::director::Fabric::stamp), which assigns the
+/// same serials in its routing pass; this is the standalone per-event
+/// form.
 #[derive(Debug)]
 pub struct WaveStamper {
     parent: WaveTag,

@@ -196,23 +196,38 @@ impl AdaptEvent {
 /// Execution hooks. All methods default to no-ops so observers implement
 /// only what they need. Implementations must be cheap and thread-safe:
 /// the threaded director invokes them concurrently from actor threads.
+///
+/// Every director fires through one kernel
+/// ([`director::fire`](crate::director::fire)), so the firing hooks follow
+/// the same rules everywhere: one [`Observer::on_fire_start`] per firing
+/// *attempt*, sent before prefire; one [`Observer::on_fire_end`] per
+/// attempt, with `fired: false` when prefire refused; the actor's postfire
+/// after every attempt; source emissions stamped at the firing's start,
+/// derived emissions at its completion; expired items handed over after
+/// every firing; and [`Observer::on_route`] only when a firing delivered
+/// something.
 pub trait Observer: Send + Sync {
     /// A run phase boundary was crossed.
     fn on_run_phase(&self, phase: RunPhase, at: Timestamp) {
         let _ = (phase, at);
     }
 
-    /// An actor is about to attempt a firing.
+    /// An actor is about to attempt a firing (sent before prefire, so a
+    /// refused attempt has a start too).
     fn on_fire_start(&self, actor: ActorId, at: Timestamp) {
         let _ = (actor, at);
     }
 
-    /// A firing attempt completed (whether or not the actor fired).
+    /// A firing attempt completed, whether or not the actor fired: every
+    /// start is matched by exactly one record, and a prefire refusal is
+    /// recorded with `fired: false`.
     fn on_fire_end(&self, record: &FireRecord) {
         let _ = record;
     }
 
     /// `delivered` channel deliveries were routed from `from`'s outputs.
+    /// Sent once per routing pass that delivered anything (never with
+    /// `delivered == 0`).
     fn on_route(&self, from: ActorId, delivered: u64, at: Timestamp) {
         let _ = (from, delivered, at);
     }

@@ -268,8 +268,7 @@ impl OpsServer {
         let stop = shutdown.clone();
         let handle = std::thread::Builder::new()
             .name("cwf-ops".into())
-            .spawn(move || serve(listener, state, stop))
-            .expect("spawn ops server thread");
+            .spawn(move || serve(listener, state, stop))?;
         Ok(OpsServer {
             addr,
             shutdown,

@@ -28,10 +28,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use confluence_core::director::ddf::quasi_topological;
+use confluence_core::director::fire::{self, Kernel};
 use confluence_core::director::{Director, Fabric, QueueContext, RunReport};
 use confluence_core::error::Result;
 use confluence_core::graph::{ActorId, Workflow};
-use confluence_core::telemetry::{FireRecord, RunPhase, Telemetry};
+use confluence_core::telemetry::{RunPhase, Telemetry};
 use confluence_core::time::{Clock, Micros, Timestamp, VirtualClock, WallClock};
 use confluence_core::window::Window;
 
@@ -57,11 +58,15 @@ pub enum TimeMode {
 }
 
 impl TimeMode {
-    fn now(&self) -> Timestamp {
+    fn clock(&self) -> &dyn Clock {
         match self {
-            TimeMode::Virtual { clock, .. } => clock.now(),
-            TimeMode::Real { clock } => clock.now(),
+            TimeMode::Virtual { clock, .. } => &**clock,
+            TimeMode::Real { clock } => &**clock,
         }
+    }
+
+    fn now(&self) -> Timestamp {
+        self.clock().now()
     }
 }
 
@@ -103,6 +108,8 @@ struct ExecState {
     stats: StatsModule,
     queues: Vec<VecDeque<(usize, Window)>>,
     contexts: Vec<QueueContext>,
+    /// Actor names, for the cost model.
+    names: Vec<String>,
     source_ids: Vec<usize>,
     source_exhausted: Vec<bool>,
     topo: Vec<ActorId>,
@@ -191,21 +198,13 @@ impl ScwfCore {
         if let Some(t) = &self.telemetry {
             t.observer.on_run_phase(RunPhase::Start, self.now());
         }
-        let observer = self.telemetry.as_ref().map(|t| t.observer.clone());
-        let fabric = Fabric::build_observed(workflow, observer)?;
+        // The fabric persists across checkpoint segments: staged restore
+        // state is re-injected by `run_for`, not here.
+        let fabric = fire::open_fabric(workflow, self.telemetry.as_ref(), None)?;
         let stats = StatsModule::new(workflow);
         let n = workflow.actor_count();
         let queues: Vec<VecDeque<(usize, Window)>> = (0..n).map(|_| VecDeque::new()).collect();
-        let mut contexts: Vec<QueueContext> = workflow
-            .actor_ids()
-            .map(|id| {
-                let mut ctx = QueueContext::new(workflow.node(id).signature.inputs.len());
-                if let Some(t) = &self.telemetry {
-                    ctx.set_shed_observer(t.observer.clone(), id);
-                }
-                ctx
-            })
-            .collect();
+        let mut contexts = fire::contexts(workflow, self.telemetry.as_ref());
         let infos: Vec<ActorInfo> = workflow
             .actor_ids()
             .map(|id| {
@@ -224,20 +223,21 @@ impl ScwfCore {
         // Skip initialization when resuming from a checkpoint: restored
         // actor state already reflects a past initialization.
         if !self.hook.as_ref().is_some_and(|h| h.resuming()) {
+            let kernel = Kernel::new(&fabric, self.telemetry.as_ref(), self.mode.clock());
             for id in workflow.actor_ids() {
-                let ctx = &mut contexts[id.index()];
-                ctx.set_now(self.now());
-                workflow.node_mut(id).actor_mut().initialize(ctx)?;
-                let (emissions, _) = ctx.take_emissions();
-                self.report.events_routed += fabric.route(id, emissions, None, self.now())?;
+                let actor = workflow.node_mut(id).actor_mut();
+                self.report.events_routed +=
+                    kernel.initialize(id, actor, &mut contexts[id.index()])?;
             }
         }
         let topo = quasi_topological(workflow);
+        let names = infos.into_iter().map(|i| i.name).collect();
         self.state = Some(ExecState {
             fabric,
             stats,
             queues,
             contexts,
+            names,
             source_ids,
             source_exhausted,
             topo,
@@ -391,15 +391,12 @@ impl ScwfCore {
                         }
                         self.fire_one(workflow, id.0)?;
                     }
-                    let now = self.mode.now();
                     let st = self.state.as_mut().expect("initialized");
-                    let ctx = &mut st.contexts[id.0];
-                    ctx.set_now(now);
-                    workflow.node_mut(id).actor_mut().finish(ctx)?;
-                    let (emissions, trigger) = ctx.take_emissions();
+                    let kernel =
+                        Kernel::new(&st.fabric, self.telemetry.as_ref(), self.mode.clock());
+                    let actor = workflow.node_mut(id).actor_mut();
                     self.report.events_routed +=
-                        st.fabric.route(id, emissions, trigger.as_ref(), now)?;
-                    st.fabric.close_actor_outputs(id, now)?;
+                        kernel.finish(id, actor, &mut st.contexts[id.0])?;
                 }
                 self.sync_external(workflow);
                 continue;
@@ -441,16 +438,16 @@ impl ScwfCore {
     /// captured fabric state on the quiesce hook.
     fn quiesce_capture(&mut self, _workflow: &Workflow) {
         let st = self.state.as_mut().expect("initialized");
-        for i in 0..st.queues.len() {
-            let queued: Vec<(usize, Window)> = st.queues[i].drain(..).collect();
-            let staged = st.contexts[i].take_staged();
+        for (i, queue) in st.queues.iter_mut().enumerate() {
             // Ready-queue windows sit behind any window already delivered
-            // to the actor's context but not yet consumed.
-            st.fabric.inbox(ActorId(i)).push_front_batch(queued);
-            st.fabric.inbox(ActorId(i)).push_front_batch(staged);
+            // to the actor's context but not yet consumed (unstaged below).
+            st.fabric
+                .inbox(ActorId(i))
+                .push_front_batch(queue.drain(..).collect());
         }
         if let Some(hook) = &self.hook {
-            hook.deposit(st.fabric.capture_state());
+            let contexts = st.contexts.iter_mut().enumerate();
+            fire::quiesce(&st.fabric, hook, contexts.map(|(i, ctx)| (ActorId(i), ctx)));
         }
     }
 
@@ -458,92 +455,41 @@ impl ScwfCore {
     /// skipped (prefire false / nothing queued).
     fn fire_one(&mut self, workflow: &mut Workflow, a: usize) -> Result<Option<Micros>> {
         let id = ActorId(a);
-        let is_source = workflow.node(id).is_source;
-        let fire_start = self.mode.now();
+        let node = workflow.node_mut(id);
+        let is_source = node.is_source;
         let st = self.state.as_mut().expect("initialized");
+        let kernel = Kernel::new(&st.fabric, self.telemetry.as_ref(), self.mode.clock());
         let ctx = &mut st.contexts[a];
-        ctx.set_now(fire_start);
         if !is_source {
-            match st.queues[a].pop_front() {
-                Some((port, w)) => {
-                    if st.fabric.wants_event_hooks() {
-                        if let Some(t) = &self.telemetry {
-                            t.observer
-                                .on_dequeue(id, port, w.trigger_wave(), w.formed_at, fire_start);
-                        }
-                    }
-                    ctx.deliver(port, w)
-                }
-                None => return Ok(None),
-            }
+            let Some((port, w)) = st.queues[a].pop_front() else {
+                return Ok(None);
+            };
+            kernel.stage(id, ctx, port, w);
         }
-        if let Some(t) = &self.telemetry {
-            t.observer.on_fire_start(id, fire_start);
-        }
-        let fired = {
-            let actor = workflow.node_mut(id).actor_mut();
-            if actor.prefire(ctx)? {
-                actor.fire(ctx)?;
-                true
-            } else {
-                false
-            }
-        };
-        let ctx = &mut st.contexts[a];
-        let consumed = ctx.consumed_events;
-        let (emissions, trigger) = ctx.take_emissions();
-        let produced = emissions.len() as u64;
-        let origin = trigger.as_ref().map(|w| w.origin());
-        let cost = if fired {
-            match &self.mode {
-                TimeMode::Virtual { clock, cost } => {
-                    let c = cost.firing_cost(a, &workflow.node(id).name, consumed, produced)
-                        + self.scheduler_overhead;
+        let actor = node.actor_mut();
+        let f = match &self.mode {
+            TimeMode::Virtual { clock, cost } => {
+                // Charge the modelled cost on the virtual clock before the
+                // emissions are stamped: derived events carry the firing's
+                // completion time.
+                let (name, overhead) = (&st.names[a], self.scheduler_overhead);
+                let mut charge = |consumed, produced| {
+                    let c = cost.firing_cost(a, name, consumed, produced) + overhead;
                     clock.advance(c);
                     c
-                }
-                TimeMode::Real { clock } => clock.now().since(fire_start),
+                };
+                kernel.fire_with(id, is_source, actor, ctx, Some(&mut charge), None)?
             }
-        } else {
-            Micros::ZERO
+            TimeMode::Real { .. } => kernel.fire(id, is_source, actor, ctx)?,
         };
-        if fired {
+        if f.fired {
             self.report.firings += 1;
-            st.stats.record_firing(a, cost, consumed, produced, fire_start);
+            st.stats
+                .record_firing(a, f.busy, f.events_in, f.tokens_out, f.started);
         }
-        // External events are stamped at the source's firing start — that
-        // is when they entered the workflow; the firing cost that follows
-        // is the first component of their response time. Derived events
-        // are stamped at production (firing completion).
-        let (parent, stamp_at) = if is_source {
-            (None, fire_start)
-        } else {
-            (trigger, self.mode.now())
-        };
-        self.report.events_routed += st.fabric.route(id, emissions, parent.as_ref(), stamp_at)?;
-        if let Some(t) = &self.telemetry {
-            let ended = self.mode.now();
-            t.observer.on_fire_end(&FireRecord {
-                actor: id,
-                started: fire_start,
-                ended,
-                busy: cost,
-                events_in: consumed,
-                tokens_out: produced,
-                origin,
-                trigger: parent,
-                fired,
-            });
-            // Sampling keys on the director clock — virtual under
-            // `TimeMode::Virtual`, so sampled series are deterministic.
-            t.sample(ended);
-        }
-        {
-            let actor = workflow.node_mut(id).actor_mut();
-            let ctx = &mut st.contexts[a];
-            let _ = actor.postfire(ctx)?;
-        }
-        Ok(if fired { Some(cost) } else { None })
+        self.report.events_routed += f.routed;
+        let _ = actor.postfire(ctx)?;
+        Ok(f.fired.then_some(f.busy))
     }
 
     fn finish(&mut self, workflow: &mut Workflow) -> Result<()> {

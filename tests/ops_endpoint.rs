@@ -108,6 +108,23 @@ fn all_five_routes_serve_live_telemetry() {
     assert_eq!(status, 404);
 }
 
+/// An ops address that is already taken does not panic the builder: the
+/// bind error comes back from the next run, and nothing runs.
+#[test]
+fn occupied_ops_port_is_an_error_from_run() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = taken.local_addr().unwrap().to_string();
+    let (wf, c) = pipeline();
+    let mut e = Engine::new(wf)
+        .with_director(ThreadedDirector::new())
+        .configure(ExecConfig::new().ops_endpoint(&addr));
+    assert!(e.ops_addr().is_none(), "no server on an occupied port");
+    let err = e.run().unwrap_err().to_string();
+    assert!(err.contains(&addr), "the error names the address: {err}");
+    assert!(c.tokens().is_empty(), "the failed run did not execute");
+    drop(taken);
+}
+
 /// Without series sampling or a tracer the optional routes answer 404
 /// while the mandatory three keep serving.
 #[test]
