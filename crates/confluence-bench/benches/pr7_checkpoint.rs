@@ -14,7 +14,7 @@
 //!    120 s of stream into a fraction of a second is not a meaningful
 //!    percentage; the JSON reports both.)
 //! 3. *End-to-end on the paced pool executor* (the deployment shape,
-//!    including the 200 ms quiesce drain-stability window): gated <= 10%.
+//!    including each pause's quiesce drain): gated <= 10%.
 //!
 //! Every checkpointed run must also produce the byte-identical toll
 //! stream as its uncheckpointed baseline — enabling checkpoints is

@@ -14,6 +14,11 @@
 //!   length-prefixed log so a recovered run can replay the exact token
 //!   stream the killed run produced past the snapshot point.
 //!
+//! Both file formats are versioned and checksummed: a snapshot ends in a
+//! CRC-32 of everything before it, and every log frame carries the CRC-32
+//! of its payload. A flipped bit or an old-version file reads as
+//! [`Error::Checkpoint`], never as wrong state.
+//!
 //! The directors cooperate through a [`QuiesceHook`]: when a checkpoint is
 //! due the engine requests a pause, the director stops sources, drains
 //! in-flight work to a firing boundary, and deposits the captured
@@ -27,6 +32,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -35,12 +41,19 @@ use crate::error::{Error, Result};
 use crate::time::Timestamp;
 use crate::token::Token;
 use crate::window::{GroupSnapshot, OperatorSnapshot, Window};
-use codec::{Decoder, Encoder};
+use codec::{crc32, Decoder, Encoder};
 
 /// Magic bytes opening every checkpoint file.
 const MAGIC: &[u8; 4] = b"CFLC";
-/// Checkpoint file format version.
-const VERSION: u32 = 1;
+/// Checkpoint file format version (2: closing CRC-32).
+const VERSION: u32 = 2;
+/// Magic bytes opening every event log.
+const LOG_MAGIC: &[u8; 4] = b"CFLG";
+/// Event log format version (2: file header, per-frame CRC-32; version 1
+/// logs had neither).
+const LOG_VERSION: u32 = 2;
+/// Bytes before each log frame's payload: length, its complement, CRC.
+const FRAME_HEADER: usize = 12;
 
 /// File name of the snapshot inside a checkpoint directory.
 pub const SNAPSHOT_FILE: &str = "checkpoint.bin";
@@ -281,7 +294,8 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serialize to the checkpoint wire format.
+    /// Serialize to the checkpoint wire format: magic, version, body, and
+    /// the CRC-32 of all of it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         for b in MAGIC {
@@ -299,10 +313,14 @@ impl Checkpoint {
             e.str(name);
             e.bytes(bytes);
         }
-        e.into_bytes()
+        let mut bytes = e.into_bytes();
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
     }
 
-    /// Parse the checkpoint wire format.
+    /// Parse the checkpoint wire format. Bad magic, another version, a
+    /// checksum mismatch, or a malformed body is [`Error::Checkpoint`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
         let mut d = Decoder::new(bytes);
         for want in MAGIC {
@@ -316,6 +334,14 @@ impl Checkpoint {
                 "unsupported checkpoint version {version} (expected {VERSION})"
             )));
         }
+        let Some(body_end) = bytes.len().checked_sub(4).filter(|&end| end >= 8) else {
+            return Err(Error::Checkpoint("truncated checkpoint (no checksum)".into()));
+        };
+        let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4-byte slice"));
+        if crc32(&bytes[..body_end]) != stored {
+            return Err(Error::Checkpoint("checkpoint checksum mismatch".into()));
+        }
+        let mut d = Decoder::new(&bytes[8..body_end]);
         let n = d.u32()? as usize;
         let mut actors = Vec::with_capacity(d.capacity(n));
         for _ in 0..n {
@@ -344,12 +370,17 @@ impl Checkpoint {
     /// Atomically write the snapshot into `dir` (temp file + rename), so a
     /// crash mid-write never corrupts the previous checkpoint.
     pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf> {
+        Self::write_bytes_to_dir(dir, &self.to_bytes())
+    }
+
+    /// [`Checkpoint::write_to_dir`] for a snapshot already encoded with
+    /// [`Checkpoint::to_bytes`].
+    pub fn write_bytes_to_dir(dir: &Path, bytes: &[u8]) -> Result<PathBuf> {
         fs::create_dir_all(dir).map_err(|e| io_err("create checkpoint dir", e))?;
         let path = dir.join(SNAPSHOT_FILE);
         let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        let bytes = self.to_bytes();
         let mut f = fs::File::create(&tmp).map_err(|e| io_err("create checkpoint temp", e))?;
-        f.write_all(&bytes)
+        f.write_all(bytes)
             .and_then(|_| f.sync_all())
             .map_err(|e| io_err("write checkpoint", e))?;
         drop(f);
@@ -379,12 +410,24 @@ impl Checkpoint {
 /// captured [`FabricState`] instead of running end-of-stream teardown.
 /// Before a resumed segment the engine stages the state to re-inject and
 /// marks the segment as resuming so directors skip `initialize`.
+///
+/// The hook also times the pause for checkpoint telemetry: when it was
+/// requested, when the fabric drained, and how long the capture took.
 #[derive(Default)]
 pub struct QuiesceHook {
     pause: AtomicBool,
     resuming: AtomicBool,
     captured: Mutex<Option<FabricState>>,
     restore: Mutex<Option<FabricState>>,
+    marks: Mutex<PauseMarks>,
+}
+
+/// Wall-clock marks of the current pause.
+#[derive(Debug, Default, Clone, Copy)]
+struct PauseMarks {
+    requested: Option<Instant>,
+    drained: Option<Instant>,
+    capture: Duration,
 }
 
 impl QuiesceHook {
@@ -395,7 +438,38 @@ impl QuiesceHook {
 
     /// Ask the director to quiesce at the next firing boundary.
     pub fn request_pause(&self) {
-        self.pause.store(true, Ordering::SeqCst);
+        if !self.pause.swap(true, Ordering::SeqCst) {
+            self.marks.lock().requested = Some(Instant::now());
+        }
+    }
+
+    /// How long ago the current pause was requested (`None` when no pause
+    /// is pending). Directors bound a pause that never drains with it.
+    pub fn pause_age(&self) -> Option<Duration> {
+        self.marks.lock().requested.map(|t| t.elapsed())
+    }
+
+    /// Director side: the fabric has drained for the pending pause. The
+    /// first mark counts; [`crate::director::fire::quiesce`] marks it too,
+    /// for directors that only notice at their capture.
+    pub fn mark_drained(&self) {
+        self.marks.lock().drained.get_or_insert_with(Instant::now);
+    }
+
+    /// Director side: the capture of the drained fabric took `took`.
+    pub fn record_capture(&self, took: Duration) {
+        self.marks.lock().capture = took;
+    }
+
+    /// Engine side: the pause's quiesce wait (request until drained) and
+    /// capture time.
+    pub fn pause_times(&self) -> (Duration, Duration) {
+        let marks = *self.marks.lock();
+        let quiesce = match (marks.requested, marks.drained) {
+            (Some(requested), Some(drained)) => drained.saturating_duration_since(requested),
+            _ => Duration::ZERO,
+        };
+        (quiesce, marks.capture)
     }
 
     /// Whether a pause has been requested (directors poll this).
@@ -437,8 +511,9 @@ impl QuiesceHook {
         self.resuming.load(Ordering::SeqCst)
     }
 
-    /// Clear the pause flag before the next segment.
+    /// Clear the pause flag and its timing before the next segment.
     pub fn reset(&self) {
+        *self.marks.lock() = PauseMarks::default();
         self.pause.store(false, Ordering::SeqCst);
     }
 }
@@ -460,12 +535,37 @@ pub struct LogEntry {
 
 /// Append-only writer for a source event log.
 ///
-/// Each record is a `u32`-length-prefixed frame of `[seq u64, port u32,
-/// token]` in the [`codec`] wire vocabulary, flushed per append so a crash
-/// loses at most the frame being written — and a torn trailing frame is
-/// skipped on read rather than treated as corruption.
+/// The log opens with an 8-byte header (magic, format version). Each
+/// record is then a frame of `[len u32, !len u32, crc32 u32]` followed by
+/// a `len`-byte payload `[seq u64, port u32, token]` in the [`codec`] wire
+/// vocabulary, flushed per append so a crash loses at most the frame being
+/// written. A torn trailing frame is skipped on read; a frame whose length
+/// and complement disagree, or whose payload fails its CRC, is corruption.
 pub struct EventLog {
     file: fs::File,
+}
+
+/// The header opening every event log.
+fn log_header() -> [u8; 8] {
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(LOG_MAGIC);
+    header[4..].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    header
+}
+
+/// One log frame around `payload`.
+fn log_frame(payload: &[u8]) -> Vec<u8> {
+    let len = payload.len() as u32;
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&(!len).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
 }
 
 impl EventLog {
@@ -474,17 +574,28 @@ impl EventLog {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent).map_err(|e| io_err("create log dir", e))?;
         }
-        let file = fs::File::create(path).map_err(|e| io_err("create event log", e))?;
+        let mut file = fs::File::create(path).map_err(|e| io_err("create event log", e))?;
+        file.write_all(&log_header())
+            .map_err(|e| io_err("write event log header", e))?;
         Ok(EventLog { file })
     }
 
-    /// Open an existing log for appending (recovery continues the stream).
+    /// Open an existing log for appending (recovery continues the stream),
+    /// creating it with its header if it does not exist.
     pub fn append(path: &Path) -> Result<EventLog> {
-        let file = fs::OpenOptions::new()
+        let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| io_err("open event log", e))?;
+        let len = file
+            .metadata()
+            .map_err(|e| io_err("stat event log", e))?
+            .len();
+        if len == 0 {
+            file.write_all(&log_header())
+                .map_err(|e| io_err("write event log header", e))?;
+        }
         Ok(EventLog { file })
     }
 
@@ -494,37 +605,55 @@ impl EventLog {
         e.u64(seq);
         e.u32(port);
         e.token(token);
-        let frame = e.into_bytes();
-        let mut out = Vec::with_capacity(frame.len() + 4);
-        out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        out.extend_from_slice(&frame);
         self.file
-            .write_all(&out)
+            .write_all(&log_frame(&e.into_bytes()))
             .and_then(|_| self.file.flush())
             .map_err(|e| io_err("append event log", e))
     }
 
     /// Read every complete record in the log at `path`. A truncated
     /// trailing frame (torn by a crash mid-write) is ignored; a missing
-    /// file reads as empty.
+    /// file reads as empty. A bad header, a frame whose length fails its
+    /// complement, or a payload failing its CRC is [`Error::Checkpoint`].
     pub fn read_all(path: &Path) -> Result<Vec<LogEntry>> {
         let bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(io_err("read event log", e)),
         };
+        let header = log_header();
+        if bytes.len() < header.len() && header.starts_with(&bytes) {
+            return Ok(Vec::new()); // torn while writing the header
+        }
+        if bytes.len() < header.len() || bytes[..4] != header[..4] {
+            return Err(Error::Checkpoint("not an event log (bad magic)".into()));
+        }
+        let version = le_u32(&bytes, 4);
+        if version != LOG_VERSION {
+            return Err(Error::Checkpoint(format!(
+                "unsupported event log version {version} (expected {LOG_VERSION})"
+            )));
+        }
         let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos + 4 <= bytes.len() {
-            let len =
-                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-            let Some(end) = pos.checked_add(4).and_then(|p| p.checked_add(len)) else {
-                break;
-            };
-            if end > bytes.len() {
-                break; // torn trailing frame
+        let mut pos = header.len();
+        while pos + FRAME_HEADER <= bytes.len() {
+            let len = le_u32(&bytes, pos);
+            if le_u32(&bytes, pos + 4) != !len {
+                return Err(Error::Checkpoint(format!(
+                    "corrupt event log frame header at byte {pos}"
+                )));
             }
-            let mut d = Decoder::new(&bytes[pos + 4..end]);
+            let start = pos + FRAME_HEADER;
+            let Some(end) = start.checked_add(len as usize).filter(|&e| e <= bytes.len()) else {
+                break; // torn trailing frame
+            };
+            let payload = &bytes[start..end];
+            if crc32(payload) != le_u32(&bytes, pos + 8) {
+                return Err(Error::Checkpoint(format!(
+                    "event log frame checksum mismatch at byte {pos}"
+                )));
+            }
+            let mut d = Decoder::new(payload);
             let seq = d.u64()?;
             let port = d.u32()?;
             let token = d.token()?;
@@ -851,6 +980,88 @@ mod tests {
         assert!(Checkpoint::from_bytes(&bytes).is_err(), "trailing bytes");
     }
 
+    /// Every single-bit flip anywhere in a checkpoint file is an error.
+    #[test]
+    fn flipped_bits_in_a_checkpoint_are_errors() {
+        let bytes = sample_checkpoint().to_bytes();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(Checkpoint::from_bytes(&flipped), Err(Error::Checkpoint(_))),
+                "bit {bit} flipped"
+            );
+        }
+    }
+
+    #[test]
+    fn old_version_checkpoints_are_errors() {
+        // The version-1 layout: no checksum, version field 1.
+        let mut bytes = sample_checkpoint().to_bytes();
+        bytes.truncate(bytes.len() - 4);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(&err, Error::Checkpoint(m) if m.contains("version 1")), "{err:?}");
+        let dir = tmpdir("old-version");
+        fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
+        assert!(matches!(
+            Checkpoint::read_from_dir(&dir),
+            Err(Error::Checkpoint(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every single-bit flip in a log's header or in a complete frame is
+    /// an error, never a silently shorter or different log.
+    #[test]
+    fn flipped_bits_in_an_event_log_are_errors() {
+        let dir = tmpdir("log-flip");
+        let path = dir.join("log.bin");
+        let mut log = EventLog::create(&path).unwrap();
+        log.record(0, 0, &Token::Int(1)).unwrap();
+        log.record(1, 1, &Token::record().field("x", 5).build())
+            .unwrap();
+        drop(log);
+        let bytes = fs::read(&path).unwrap();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &flipped).unwrap();
+            assert!(
+                matches!(EventLog::read_all(&path), Err(Error::Checkpoint(_))),
+                "bit {bit} flipped"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_version_event_logs_are_errors() {
+        let dir = tmpdir("log-old");
+        let path = dir.join("log.bin");
+        // A version-1 log: bare length-prefixed frames, no header.
+        let mut e = Encoder::new();
+        e.u64(0);
+        e.u32(0);
+        e.token(&Token::Int(1));
+        let frame = e.into_bytes();
+        let mut bytes = (frame.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&frame);
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            EventLog::read_all(&path),
+            Err(Error::Checkpoint(_))
+        ));
+        let mut bytes = log_header().to_vec();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            EventLog::read_all(&path),
+            Err(Error::Checkpoint(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn event_log_round_trips_and_tolerates_torn_tail() {
         let dir = tmpdir("log");
@@ -870,12 +1081,23 @@ mod tests {
         });
         assert_eq!(entries[1].port, 2);
 
-        // Torn trailing frame: append garbage length prefix + short body.
-        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[200, 0, 0, 0, 1, 2]).unwrap();
-        drop(f);
-        let entries = EventLog::read_all(&path).unwrap();
-        assert_eq!(entries.len(), 2, "torn tail ignored");
+        // Torn trailing frames: every proper prefix of a third frame.
+        let whole = fs::read(&path).unwrap();
+        let mut e = Encoder::new();
+        e.u64(2);
+        e.u32(0);
+        e.token(&Token::Int(3));
+        let third = log_frame(&e.into_bytes());
+        for cut in 1..third.len() {
+            let mut torn = whole.clone();
+            torn.extend_from_slice(&third[..cut]);
+            fs::write(&path, &torn).unwrap();
+            let entries = EventLog::read_all(&path).unwrap();
+            assert_eq!(entries.len(), 2, "torn tail of {cut} bytes ignored");
+        }
+        // A log torn inside its header reads as empty.
+        fs::write(&path, &whole[..5]).unwrap();
+        assert_eq!(EventLog::read_all(&path).unwrap(), Vec::new());
 
         assert_eq!(
             EventLog::read_all(&dir.join("missing.bin")).unwrap(),
@@ -911,6 +1133,9 @@ mod tests {
             e.u32(0); // on port 0
             let mut bytes = e.into_bytes();
             bytes.extend_from_slice(&token);
+            // A valid checksum, so the forged body reaches the decoder.
+            let crc = crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
             let err = Checkpoint::from_bytes(&bytes).unwrap_err();
             assert!(matches!(err, Error::Checkpoint(_)), "{err:?}");
         }
@@ -926,8 +1151,8 @@ mod tests {
             frame.u32(0);
             let mut frame = frame.into_bytes();
             frame.extend_from_slice(&token);
-            let mut bytes = (frame.len() as u32).to_le_bytes().to_vec();
-            bytes.extend_from_slice(&frame);
+            let mut bytes = log_header().to_vec();
+            bytes.extend_from_slice(&log_frame(&frame));
             fs::write(&path, &bytes).unwrap();
             let err = EventLog::read_all(&path).unwrap_err();
             assert!(matches!(err, Error::Checkpoint(_)), "{err:?}");

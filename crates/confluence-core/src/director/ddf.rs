@@ -64,7 +64,7 @@ impl Sweep<'_> {
         let inbox = self.kernel.fabric().inbox(id);
         if self.done[id.0] {
             // Finished actors drop late windows.
-            while inbox.try_pop().is_some() {}
+            inbox.drain_windows();
             return Ok(false);
         }
         let Some((port, window)) = inbox.try_pop() else {

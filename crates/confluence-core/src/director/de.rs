@@ -165,7 +165,7 @@ impl DeRun<'_> {
         let now = self.kernel.now();
         match agenda {
             Agenda::Deliver(dest, event) => {
-                fabric.deliver(dest, event, now)?;
+                fire::deliver(fabric, dest, event, now)?;
                 if let Some(deadline) = fabric.receivers(dest.actor)[dest.port].next_deadline() {
                     self.queue.push(deadline, Agenda::Poll(dest.actor));
                 }

@@ -23,8 +23,12 @@
 //!   stamped when the firing completes;
 //! * expired items are handed to their handlers after every firing;
 //! * `on_route` is sent only when something was delivered.
+//!
+//! The kernel also keeps each fabric's [`InFlight`] count, the exact
+//! amount of unfinished work that decides checkpoint quiescence.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
@@ -36,7 +40,78 @@ use crate::time::{Clock, Micros, Timestamp};
 use crate::wave::WaveTag;
 use crate::window::Window;
 
-use super::{Fabric, QueueContext};
+use super::{Fabric, QueueContext, TryDeliver};
+
+/// The exact count of unfinished work in one fabric.
+///
+/// One unit stands for each formed window not yet through a firing attempt
+/// (queued in an inbox, popped, or staged in a [`QueueContext`]), each
+/// step in progress ([`Kernel::fire_with`], [`Kernel::initialize`],
+/// [`Kernel::finish`]), and each stamped event a [`Sink`] holds back (the
+/// pool's parked deliveries, DE's agenda). Inbox pushes add a unit per
+/// window; a pop hands the unit to the caller, which stages the window; a
+/// firing attempt gives back its own unit plus one per window staged for
+/// it, consumed or not. Shed and captured windows give theirs back too.
+///
+/// When a step ends and brings the count to zero, the fabric holds no
+/// work that could still move: the drained hook a director installed runs
+/// on that thread, at that firing boundary. That is how a checkpoint pause
+/// ends — no timed stability window, no polling. The count's `AcqRel`
+/// updates order every step's end after the pause requests made before
+/// it, so the step that drains the count sees a pending pause.
+#[derive(Default)]
+pub struct InFlight {
+    count: AtomicUsize,
+    drained: OnceLock<Box<dyn Fn() + Send + Sync>>,
+}
+
+impl std::fmt::Debug for InFlight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InFlight")
+            .field("count", &self.get())
+            .finish_non_exhaustive()
+    }
+}
+
+impl InFlight {
+    /// Units of unfinished work right now.
+    pub fn get(&self) -> usize {
+        self.count.load(Ordering::Acquire)
+    }
+
+    /// Install the hook run by whichever step brings the count to zero.
+    /// First caller wins; without one, a drained fabric goes unnoticed.
+    pub fn on_drained(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.drained.set(Box::new(hook));
+    }
+
+    pub(crate) fn add(&self, n: usize) {
+        if n > 0 {
+            self.count.fetch_add(n, Ordering::AcqRel);
+        }
+    }
+
+    /// Drop `n` units outside a step (shed or captured windows). Never
+    /// runs the drained hook: the step around it, if any, does.
+    pub(crate) fn remove(&self, n: usize) {
+        if n > 0 {
+            let before = self.count.fetch_sub(n, Ordering::AcqRel);
+            debug_assert!(before >= n, "in-flight count underflow");
+        }
+    }
+
+    /// End a step holding `n` units; run the drained hook if that emptied
+    /// the fabric.
+    fn finish(&self, n: usize) {
+        let before = self.count.fetch_sub(n, Ordering::AcqRel);
+        debug_assert!(before >= n, "in-flight count underflow");
+        if before == n {
+            if let Some(hook) = self.drained.get() {
+                hook();
+            }
+        }
+    }
+}
 
 /// Where stamped events go instead of straight into their receivers: one
 /// call per destination port, in first-delivery order. DE's agenda and the
@@ -111,6 +186,7 @@ impl<'a> Kernel<'a> {
 
     /// Deliver a window popped from `id`'s inbox to its context ahead of
     /// the next firing, reporting `on_dequeue` when per-event hooks are on.
+    /// The window's in-flight unit moves with it into the context.
     pub fn stage(&self, id: ActorId, ctx: &mut QueueContext, port: usize, window: Window) {
         if self.fabric.wants_event_hooks() {
             if let Some(obs) = self.observer() {
@@ -119,6 +195,18 @@ impl<'a> Kernel<'a> {
             }
         }
         ctx.deliver(port, window);
+        ctx.held_units += 1;
+    }
+
+    /// Run `body` as one in-flight step: it holds a unit while it runs and
+    /// gives it back, with the units of the windows staged in `ctx`, when
+    /// it ends — on success or error alike.
+    fn step<T>(&self, ctx: &mut QueueContext, body: impl FnOnce(&mut QueueContext) -> T) -> T {
+        let in_flight = self.fabric.in_flight();
+        in_flight.add(1);
+        let out = body(ctx);
+        in_flight.finish(1 + std::mem::take(&mut ctx.held_units));
+        out
     }
 
     /// Run the actor's `initialize` and route what it emitted.
@@ -128,10 +216,12 @@ impl<'a> Kernel<'a> {
         actor: &mut dyn Actor,
         ctx: &mut QueueContext,
     ) -> Result<u64> {
-        ctx.set_now(self.clock.now());
-        actor.initialize(ctx)?;
-        let (emissions, _) = ctx.take_emissions();
-        self.fabric.route(id, emissions, None, self.clock.now())
+        self.step(ctx, |ctx| {
+            ctx.set_now(self.clock.now());
+            actor.initialize(ctx)?;
+            let (emissions, _) = ctx.take_emissions();
+            self.fabric.route(id, emissions, None, self.clock.now())
+        })
     }
 
     /// One firing attempt, routed through the fabric with measured busy
@@ -149,8 +239,23 @@ impl<'a> Kernel<'a> {
     /// One firing attempt: `on_fire_start`, prefire, fire, charge, stamp
     /// and route (into `sink` when given, else the fabric), expired-item
     /// hand-over, `on_fire_end` and a sample. `cost` replaces the measured
-    /// busy time. `postfire` is left to the caller.
+    /// busy time. `postfire` is left to the caller. Events handed to `sink`
+    /// stay in flight until [`deliver`] or [`try_deliver`] admits them.
     pub fn fire_with(
+        &self,
+        id: ActorId,
+        is_source: bool,
+        actor: &mut dyn Actor,
+        ctx: &mut QueueContext,
+        cost: Option<&mut Cost<'_>>,
+        sink: Option<&mut Sink<'_>>,
+    ) -> Result<Fired> {
+        self.step(ctx, |ctx| {
+            self.attempt(id, is_source, actor, ctx, cost, sink)
+        })
+    }
+
+    fn attempt(
         &self,
         id: ActorId,
         is_source: bool,
@@ -180,9 +285,15 @@ impl<'a> Kernel<'a> {
             charged = cost.map(|c| c(out.events_in, out.tokens_out));
             let stamp_at = if is_source { started } else { self.clock.now() };
             out.routed = match sink {
-                Some(sink) => self
-                    .fabric
-                    .stamp(id, emissions, parent.as_ref(), stamp_at, sink)?,
+                Some(sink) => {
+                    let in_flight = self.fabric.in_flight();
+                    let mut held = |dest: PortRef, events: Vec<CwEvent>| {
+                        in_flight.add(events.len());
+                        sink(dest, events)
+                    };
+                    self.fabric
+                        .stamp(id, emissions, parent.as_ref(), stamp_at, &mut held)?
+                }
                 None => self
                     .fabric
                     .route(id, emissions, parent.as_ref(), stamp_at)?,
@@ -220,14 +331,14 @@ impl<'a> Kernel<'a> {
         actor: &mut dyn Actor,
         ctx: &mut QueueContext,
     ) -> Result<u64> {
-        let routed = (|| {
+        let routed = self.step(ctx, |ctx| {
             ctx.set_now(self.clock.now());
             actor.finish(ctx)?;
             let (emissions, trigger) = ctx.take_emissions();
             let now = self.clock.now();
             Ok(self.fabric.route(id, emissions, trigger.as_ref(), now)?
                 + self.fabric.route_expired(now)?)
-        })();
+        });
         let closed = self.fabric.close_actor_outputs(id, self.clock.now());
         let routed = routed?;
         closed.map(|()| routed)
@@ -264,22 +375,52 @@ pub fn contexts(workflow: &Workflow, tele: Option<&Telemetry>) -> Vec<QueueConte
 }
 
 /// Hand the windows staged in `ctx` but never consumed back to the front
-/// of `id`'s inbox, so a checkpoint capture sees them.
+/// of `id`'s inbox, so a checkpoint capture sees them. The inbox counts
+/// them again; units still held for windows never attempted go back.
 pub fn unstage(fabric: &Fabric, id: ActorId, ctx: &mut QueueContext) {
     fabric.inbox(id).push_front_batch(ctx.take_staged());
+    fabric
+        .in_flight()
+        .remove(std::mem::take(&mut ctx.held_units));
+}
+
+/// Admit one event a [`Sink`] held back, ending its in-flight unit.
+pub fn deliver(fabric: &Fabric, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<usize> {
+    let admitted = fabric.deliver(dest, event, now);
+    fabric.in_flight().finish(1);
+    admitted
+}
+
+/// [`deliver`] that hands the event back, still in flight, when `dest` is
+/// a full `Block` port.
+pub fn try_deliver(
+    fabric: &Fabric,
+    dest: PortRef,
+    event: CwEvent,
+    now: Timestamp,
+) -> Result<TryDeliver> {
+    let admitted = fabric.try_deliver(dest, event, now);
+    if !matches!(admitted, Ok(TryDeliver::Full(_))) {
+        fabric.in_flight().finish(1);
+    }
+    admitted
 }
 
 /// Quiesce at a firing boundary: unstage every context, capture the
-/// fabric, and deposit the state on the hook.
+/// fabric, and deposit the state on the hook (timing the capture).
 pub fn quiesce<'c>(
     fabric: &Fabric,
     hook: &QuiesceHook,
     contexts: impl IntoIterator<Item = (ActorId, &'c mut QueueContext)>,
 ) {
+    hook.mark_drained();
+    let started = std::time::Instant::now();
     for (id, ctx) in contexts {
         unstage(fabric, id, ctx);
     }
-    hook.deposit(fabric.capture_state());
+    let state = fabric.capture_state();
+    hook.record_capture(started.elapsed());
+    hook.deposit(state);
 }
 
 #[cfg(test)]
@@ -393,6 +534,64 @@ mod tests {
             .try_pop()
             .expect("handed over with the firing");
         assert_eq!(w.events[0].token, Token::Int(0));
+    }
+
+    /// The in-flight count follows the work exactly: one unit per queued
+    /// window, one per step in progress, and zero once everything routed
+    /// has been consumed; the drained hook runs when it gets there.
+    #[test]
+    fn in_flight_counts_windows_and_steps_to_zero() {
+        let clock = VirtualClock::new();
+        let mut b = WorkflowBuilder::new("count");
+        let s = b.add_actor("src", crate::actors::VecSource::new(vec![]));
+        let m = b.add_actor("mid", crate::actors::Union::new(1));
+        let k = b.add_actor("sink", Collector::new().actor());
+        b.chain(&[s, m, k]).unwrap();
+        let mut wf = b.build().unwrap();
+        let fabric = Fabric::build(&wf).unwrap();
+        let drained = Arc::new(AtomicU64::new(0));
+        let seen = drained.clone();
+        fabric.in_flight().on_drained(move || {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let kernel = Kernel::new(&fabric, None, &clock);
+        let mut ctx = contexts(&wf, None);
+        let emissions = (0..3).map(|i| (0, Token::Int(i))).collect();
+        fabric.route(s, emissions, None, Timestamp(0)).unwrap();
+        assert_eq!(fabric.in_flight().get(), 3, "one unit per queued window");
+
+        let (port, w) = fabric.inbox(m).try_pop().unwrap();
+        assert_eq!(fabric.in_flight().get(), 3, "a pop hands the unit over");
+        kernel.stage(m, &mut ctx[1], port, w);
+        kernel
+            .fire(m, false, wf.node_mut(m).actor_mut(), &mut ctx[1])
+            .unwrap();
+        assert_eq!(
+            fabric.in_flight().get(),
+            3,
+            "one window consumed, one formed"
+        );
+
+        // Stage the other two, then hand them back unattempted.
+        while let Some((port, w)) = fabric.inbox(m).try_pop() {
+            kernel.stage(m, &mut ctx[1], port, w);
+        }
+        unstage(&fabric, m, &mut ctx[1]);
+        assert_eq!(fabric.in_flight().get(), 3);
+
+        for id in [m, m, k, k, k] {
+            let (port, w) = fabric.inbox(id).try_pop().unwrap();
+            kernel.stage(id, &mut ctx[id.index()], port, w);
+            kernel
+                .fire(id, false, wf.node_mut(id).actor_mut(), &mut ctx[id.index()])
+                .unwrap();
+        }
+        assert_eq!(fabric.in_flight().get(), 0);
+        assert_eq!(
+            drained.load(Ordering::Relaxed),
+            1,
+            "drained once, by the last step"
+        );
     }
 
     #[derive(Default)]

@@ -134,6 +134,9 @@ pub struct Fabric {
     /// network is artificially deadlocked (all writers blocked on full
     /// queues) and triggers relief.
     progress: Arc<AtomicU64>,
+    /// Exact count of unfinished work, shared with every inbox and kept
+    /// by the firing kernel; checkpoint quiescence is its reaching zero.
+    in_flight: Arc<fire::InFlight>,
     /// Whether `Block` policies really block the calling thread (the
     /// thread-based director enables this; cooperative directors must not
     /// block their scheduling loop and admit over capacity instead).
@@ -184,12 +187,13 @@ impl Fabric {
             }
         }
         let progress = Arc::new(AtomicU64::new(0));
+        let in_flight = Arc::new(fire::InFlight::default());
         let mut inboxes = Vec::with_capacity(workflow.actor_count());
         let mut receivers = Vec::with_capacity(workflow.actor_count());
         for id in workflow.actor_ids() {
             let node = workflow.node(id);
             let n_inputs = node.signature.inputs.len();
-            let inbox = ActorInbox::new_shared(n_inputs, progress.clone());
+            let inbox = ActorInbox::new_shared(n_inputs, progress.clone(), in_flight.clone());
             let mut ports = Vec::with_capacity(n_inputs);
             for port in 0..n_inputs {
                 let channels = workflow.in_degree(id, port);
@@ -205,6 +209,11 @@ impl Fabric {
                     upstreams.max(1),
                     workflow.channel_policy(id, port),
                 )?);
+                if workflow.expired_route(id, port).is_none() {
+                    // No handler will ever drain this port's expired
+                    // queue: drop evicted events instead of hoarding them.
+                    receiver.discard_expired();
+                }
                 if upstreams == 0 {
                     // Nothing will ever feed this port: close it now so the
                     // thread-based director's blocking reads can terminate.
@@ -258,6 +267,7 @@ impl Fabric {
             observer,
             fine,
             progress,
+            in_flight,
             blocking: AtomicBool::new(false),
             relief_lock: Mutex::new(()),
             expired_lock: Mutex::new(()),
@@ -592,9 +602,10 @@ impl Fabric {
     }
 
     /// Deliver one already-stamped event to a destination port, reporting
-    /// window formation to the observer. Used by directors whose
-    /// [`Fabric::stamp`] sink delays the delivery (DE's agenda, the pool's
-    /// parked deliveries).
+    /// window formation to the observer. Directors whose [`Fabric::stamp`]
+    /// sink delays the delivery (DE's agenda, the pool's parked
+    /// deliveries) go through [`fire::deliver`], which also ends the
+    /// event's in-flight unit.
     pub fn deliver(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<usize> {
         self.put_event(dest, event, now)
     }
@@ -604,7 +615,7 @@ impl Fabric {
     /// event back as [`TryDeliver::Full`] instead of parking the calling
     /// thread — the caller re-enqueues the producing *task* and retries
     /// when space frees up. Drop and error policies resolve exactly as in
-    /// the blocking path.
+    /// the blocking path. Directors call it through [`fire::try_deliver`].
     pub fn try_deliver(&self, dest: PortRef, event: CwEvent, now: Timestamp) -> Result<TryDeliver> {
         let receiver = &self.receivers[dest.actor.0][dest.port];
         let wave = self.fine.then(|| event.wave.clone());
@@ -624,6 +635,19 @@ impl Fabric {
                 Ok(TryDeliver::Delivered(windows))
             }
             TryPut::Full(ev) => Ok(TryDeliver::Full(ev)),
+        }
+    }
+
+    /// The fabric's exact count of unfinished work (see [`fire::InFlight`]).
+    pub fn in_flight(&self) -> &fire::InFlight {
+        &self.in_flight
+    }
+
+    /// Wake every thread blocked on an inbox read so it re-checks its stop
+    /// conditions (a halted checkpoint pause).
+    pub fn wake_readers(&self) {
+        for inbox in &self.inboxes {
+            inbox.wake_readers();
         }
     }
 
@@ -785,15 +809,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Whether every actor inbox is empty of ready windows. Combined with
-    /// a stable progress counter this is the quiesce-drained signal:
-    /// receivers may still hold *open* (partial) windows — those are
-    /// operator state, captured by [`Fabric::capture_state`] — but no
-    /// formed window is waiting and no writer can be blocked on space.
-    pub fn inboxes_empty(&self) -> bool {
-        self.inboxes.iter().all(|i| i.is_empty())
-    }
-
     /// Total events buffered in receivers plus windows waiting in inboxes.
     pub fn backlog(&self) -> usize {
         let buffered: usize = self
@@ -820,6 +835,9 @@ pub struct QueueContext {
     pub trigger: Option<WaveTag>,
     /// Events consumed during the firing (for rate statistics).
     pub consumed_events: u64,
+    /// In-flight units held for windows staged since the last firing
+    /// attempt (kept by the firing kernel).
+    pub(crate) held_units: usize,
     /// Where actor-side shed reports ([`FireContext::report_shed`]) land:
     /// the observer plus the reporting actor's id.
     shed_sink: Option<(Arc<dyn Observer>, ActorId)>,
@@ -846,6 +864,7 @@ impl QueueContext {
             emitted: Vec::new(),
             trigger: None,
             consumed_events: 0,
+            held_units: 0,
             shed_sink: None,
         }
     }
@@ -1033,6 +1052,37 @@ mod tests {
         let (_, w) = fabric.inbox(k).try_pop().expect("flush on close");
         assert!(w.timed_out);
         assert!(fabric.inbox(k).all_ports_closed());
+    }
+
+    /// Events sliding out of a window on a port without an expired-items
+    /// handler are dropped at the port, not hoarded in the operator's
+    /// expired queue (where every checkpoint used to encode them).
+    #[test]
+    fn ports_without_a_handler_drop_expired_events() {
+        use crate::window::GroupBy;
+        let mut b = WorkflowBuilder::new("no-handler");
+        let s = b.add_actor("src", VecSource::new(vec![]));
+        let agg = b.add_actor("agg", Collector::new().actor());
+        let handled = b.add_actor("handled", Collector::new().actor());
+        let handler = b.add_actor("handler", Collector::new().actor());
+        let spec = WindowSpec::tuples(4, 1).group_by(GroupBy::fields(&["k"]));
+        b.connect_windowed(s, "out", agg, "in", spec.clone()).unwrap();
+        b.connect_windowed(s, "out", handled, "in", spec).unwrap();
+        b.expired_handler(handled.port("in"), handler.port("in"))
+            .unwrap();
+        let wf = b.build().unwrap();
+        let fabric = Fabric::build(&wf).unwrap();
+        let n = 200;
+        let emissions = (0..n)
+            .map(|i| (0, Token::record().field("k", i % 3).field("v", i).build()))
+            .collect();
+        fabric.route(s, emissions, None, Timestamp(1)).unwrap();
+        let snap = fabric.receivers(agg)[0].snapshot_op();
+        assert!(snap.expired.is_empty(), "{} expired events hoarded", snap.expired.len());
+        assert_eq!(fabric.receivers(agg)[0].pending_events(), 9, "3 groups × 3 live events");
+        // A port with a handler keeps its expired queue for the hand-over.
+        let kept = fabric.receivers(handled)[0].snapshot_op().expired.len();
+        assert_eq!(kept, n as usize - 9);
     }
 
     #[test]

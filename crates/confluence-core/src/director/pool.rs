@@ -63,12 +63,9 @@ const POOL_POLL: Duration = Duration::from_millis(10);
 /// Idle-source backoff matching the threaded director's 1 ms sleep.
 const SOURCE_BACKOFF: Micros = Micros(1_000);
 
-/// Quiesce detection: the network must be drained (inboxes empty, no
-/// parked writers) with a stable progress counter for this long before a
-/// checkpoint pause stops the workers.
-const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
-
-/// Abort a checkpoint pause if the network never drains.
+/// Error bound on a checkpoint pause that never drains: the run is
+/// abandoned with an error. Not an input to when a draining pause ends —
+/// the worker whose step drains the in-flight count stops the pool.
 const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
 
 // Per-actor readiness states (one atomic per actor).
@@ -717,6 +714,17 @@ impl Director for PoolDirector {
                 actor: id.0,
             }));
         }
+        if let Some(hook) = &self.hook {
+            // Checkpoint pause: the sources park (step_source), and the
+            // step that drains the in-flight count stops the workers.
+            let (hub, hook, tele) = (hub.clone(), hook.clone(), self.telemetry.clone());
+            fabric.in_flight().on_drained(move || {
+                if hook.pause_requested() && !tele.as_ref().is_some_and(|t| t.should_stop()) {
+                    hook.mark_drained();
+                    hub.begin_shutdown();
+                }
+            });
+        }
         let started = self.clock.now();
         if let Some(t) = &self.telemetry {
             t.observer.on_run_phase(RunPhase::Start, started);
@@ -841,7 +849,7 @@ impl Director for PoolDirector {
                 // full Block port over-admits rather than tearing the
                 // snapshot).
                 for (dest, event) in pending_out {
-                    fabric.deliver(dest, event, self.clock.now())?;
+                    fire::deliver(&fabric, dest, event, self.clock.now())?;
                 }
                 staged.push((ActorId(a), ctx));
             }
@@ -996,7 +1004,7 @@ fn finalize_task(shared: &PoolShared, task: &mut TaskState, run_wrapup: bool) {
     // Anything still parked is admitted softly (blocking is off, so a full
     // Block port over-admits rather than losing the events).
     while let Some((dest, event)) = task.pending_out.pop_front() {
-        if let Err(e) = shared.fabric.deliver(dest, event, shared.clock.now()) {
+        if let Err(e) = fire::deliver(&shared.fabric, dest, event, shared.clock.now()) {
             shared.record_error(e);
             break;
         }
@@ -1051,8 +1059,8 @@ fn step(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutco
 fn step_source(shared: &PoolShared, w: usize, task: &mut TaskState) -> Result<StepOutcome> {
     let hub = &shared.hub;
     let clock = &shared.clock;
-    // Checkpoint pause: park the source at its firing boundary. The
-    // timer thread stops the workers once the rest of the network drains.
+    // Checkpoint pause: park the source at its firing boundary. The step
+    // that drains the rest of the network stops the workers.
     if shared.pausing() {
         return Ok(StepOutcome::Idle);
     }
@@ -1173,10 +1181,10 @@ fn flush_pending(shared: &PoolShared, task: &mut TaskState) -> Result<bool> {
             receiver.policy().is_bounded() && receiver.policy().on_full == OnFull::Block;
         let now = shared.clock.now();
         if !is_block {
-            shared.fabric.deliver(dest, event, now)?;
+            fire::deliver(&shared.fabric, dest, event, now)?;
             continue;
         }
-        match shared.fabric.try_deliver(dest, event, now)? {
+        match fire::try_deliver(&shared.fabric, dest, event, now)? {
             TryDeliver::Delivered(_) => {
                 if let Some(since) = task.block_since.take() {
                     if let Some(obs) = shared.fabric.observer() {
@@ -1202,15 +1210,13 @@ fn flush_pending(shared: &PoolShared, task: &mut TaskState) -> Result<bool> {
 }
 
 /// The timer thread: serves timed-window deadlines and source arrivals
-/// from the shared heap, polls for cooperative stops, and runs the
-/// Parks-style artificial-deadlock detector for parked writer tasks.
+/// from the shared heap, polls for cooperative stops, bounds a checkpoint
+/// pause that never drains, and runs the Parks-style artificial-deadlock
+/// detector for parked writer tasks.
 fn timer_loop(shared: &Arc<PoolShared>) {
     let hub = &shared.hub;
     let mut last_progress = shared.fabric.progress_counter();
     let mut stalled_since: Option<Instant> = None;
-    let mut quiesce_progress = 0u64;
-    let mut quiesce_stable: Option<Instant> = None;
-    let mut pause_seen: Option<Instant> = None;
     let mut last_adapt = Instant::now();
     loop {
         if hub.shutdown.load(Ordering::Acquire) {
@@ -1247,34 +1253,15 @@ fn timer_loop(shared: &Arc<PoolShared>) {
                 }
             }
         }
-        // Checkpoint quiesce: sources are parked (step_source); stop the
-        // workers once the network has drained and stayed stable.
-        if shared.pausing() && !shared.should_stop() {
-            let seen = *pause_seen.get_or_insert_with(Instant::now);
-            let progress = shared.fabric.progress_counter();
-            let drained = shared.fabric.inboxes_empty()
-                && hub.waiting_writers.load(Ordering::Relaxed) == 0
-                && progress == quiesce_progress;
-            if !drained {
-                quiesce_progress = progress;
-                quiesce_stable = None;
-            } else {
-                let stable = *quiesce_stable.get_or_insert_with(Instant::now);
-                if stable.elapsed() >= QUIESCE_PATIENCE {
-                    hub.begin_shutdown();
-                    continue;
-                }
-            }
-            if seen.elapsed() >= QUIESCE_WATCHDOG {
-                shared.record_error(Error::Checkpoint(
-                    "quiesce watchdog expired: the pool never drained for a checkpoint".into(),
-                ));
-                hub.begin_shutdown();
-                continue;
-            }
-        } else {
-            pause_seen = None;
-            quiesce_stable = None;
+        // Checkpoint pause: the draining step stops the workers; this only
+        // gives up on a pause that never drains.
+        let pause_age = shared.hook.as_ref().and_then(|h| h.pause_age());
+        if pause_age.is_some_and(|age| age >= QUIESCE_WATCHDOG) && !shared.should_stop() {
+            shared.record_error(Error::Checkpoint(
+                "quiesce watchdog expired: the pool never drained for a checkpoint".into(),
+            ));
+            hub.begin_shutdown();
+            continue;
         }
         let now = shared.clock.now();
         let mut due: Vec<usize> = Vec::new();

@@ -10,11 +10,17 @@
 //! The timeout of timed windows is handled by the waiting actor thread: it
 //! waits on its inbox only until the earliest window-formation deadline of
 //! its receivers, then forces the receivers to produce.
+//!
+//! A checkpoint pause parks the sources at their next firing boundary; the
+//! thread whose step drains the fabric's in-flight count to zero signals
+//! the quiesce monitor, which halts the remaining actor threads.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::actor::Actor;
 use crate::checkpoint::QuiesceHook;
@@ -31,15 +37,9 @@ use super::{Director, Fabric, QueueContext, RunReport};
 /// pending: actor threads re-check the stop flag at least this often.
 const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
-/// How long the fabric must stay drained (all inboxes empty, no progress)
-/// after a pause request before the quiesce monitor declares it settled.
-/// Long enough to cover a slow in-flight firing whose emissions are still
-/// coming; a firing longer than this merely delays the halt (the monitor
-/// re-arms when the emissions land).
-const QUIESCE_PATIENCE: Duration = Duration::from_millis(200);
-
-/// Hard ceiling on how long a pause request may take to settle before the
-/// run is abandoned with an error (an actor livelocked in `fire`, say).
+/// Error bound on a pause request that never drains (an actor livelocked
+/// in `fire`, say): the run is abandoned with an error. Not an input to
+/// when a draining pause ends.
 const QUIESCE_WATCHDOG: Duration = Duration::from_secs(30);
 
 /// One OS thread per actor; OS scheduling; blocking windowed reads.
@@ -75,14 +75,37 @@ impl ThreadedDirector {
     }
 }
 
-/// Decrements the live-controller counter when an actor thread exits for
-/// any reason (including a panic), so the quiesce monitor never waits on a
-/// dead thread.
-struct LiveGuard(Arc<AtomicUsize>);
+/// What the quiesce monitor waits for: the fabric draining under a pause,
+/// or every actor thread exiting.
+#[derive(Default)]
+struct Settle {
+    state: Mutex<SettleState>,
+    cond: Condvar,
+}
+
+#[derive(Default)]
+struct SettleState {
+    /// Actor threads still running.
+    live: usize,
+    /// A step drained the in-flight count to zero with a pause pending.
+    drained: bool,
+}
+
+impl Settle {
+    fn update(&self, change: impl FnOnce(&mut SettleState)) {
+        change(&mut self.state.lock());
+        self.cond.notify_all();
+    }
+}
+
+/// Counts an actor thread out of the monitor's live set when it exits for
+/// any reason (including a panic), so the monitor never waits on a dead
+/// thread.
+struct LiveGuard(Arc<Settle>);
 
 impl Drop for LiveGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        self.0.update(|st| st.live -= 1);
     }
 }
 
@@ -105,7 +128,17 @@ impl Director for ThreadedDirector {
             t.observer.on_run_phase(RunPhase::Start, started);
         }
         let halt = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(workflow.actor_count()));
+        let settle = Arc::new(Settle::default());
+        settle.state.lock().live = workflow.actor_count();
+        if let Some(hook) = &self.hook {
+            let (hook, settle) = (hook.clone(), settle.clone());
+            fabric.in_flight().on_drained(move || {
+                if hook.pause_requested() {
+                    hook.mark_drained();
+                    settle.update(|st| st.drained = true);
+                }
+            });
+        }
         let mut handles = Vec::with_capacity(workflow.actor_count());
         let contexts = fire::contexts(workflow, self.telemetry.as_ref());
         for (id, ctx) in workflow.actor_ids().zip(contexts) {
@@ -118,7 +151,7 @@ impl Director for ThreadedDirector {
             let tele = self.telemetry.clone();
             let hook = self.hook.clone();
             let halt = halt.clone();
-            let guard = LiveGuard(live.clone());
+            let guard = LiveGuard(settle.clone());
             let handle = thread::Builder::new()
                 .name(format!("cwf-{name}"))
                 .spawn(move || {
@@ -132,40 +165,26 @@ impl Director for ThreadedDirector {
         }
 
         // Quiesce monitor: when the hook requests a pause the sources park
-        // themselves; this loop waits for the rest of the network to drain
-        // (all inboxes empty, progress counter frozen) and then halts the
-        // consumer threads at their next firing boundary.
+        // themselves; the step that drains the in-flight count signals
+        // here, and the monitor halts the consumer threads at their next
+        // firing boundary.
         let mut quiesce_error = None;
-        if let Some(hook) = self.hook.clone() {
-            let mut pause_seen: Option<Instant> = None;
-            let mut stable_since: Option<Instant> = None;
-            let mut last_progress = fabric.progress_counter();
-            while live.load(Ordering::SeqCst) > 0 {
-                if hook.pause_requested() {
-                    let pause_started = *pause_seen.get_or_insert_with(Instant::now);
-                    let progress = fabric.progress_counter();
-                    if progress == last_progress && fabric.inboxes_empty() {
-                        let since = *stable_since.get_or_insert_with(Instant::now);
-                        if since.elapsed() >= QUIESCE_PATIENCE {
-                            halt.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    } else {
-                        last_progress = progress;
-                        stable_since = None;
-                    }
-                    if pause_started.elapsed() >= QUIESCE_WATCHDOG {
-                        halt.store(true, Ordering::SeqCst);
-                        quiesce_error = Some(Error::Checkpoint(
-                            "quiesce watchdog expired: the workflow did not drain to a \
-                             firing boundary"
-                                .into(),
-                        ));
-                        break;
-                    }
+        if let Some(hook) = &self.hook {
+            let mut st = settle.state.lock();
+            while !st.drained && st.live > 0 {
+                let waited = settle.cond.wait_for(&mut st, QUIESCE_WATCHDOG);
+                if waited.timed_out() && hook.pause_age().is_some_and(|a| a >= QUIESCE_WATCHDOG) {
+                    quiesce_error = Some(Error::Checkpoint(
+                        "quiesce watchdog expired: the workflow did not drain to a \
+                         firing boundary"
+                            .into(),
+                    ));
+                    break;
                 }
-                thread::sleep(STOP_POLL_INTERVAL);
             }
+            drop(st);
+            halt.store(true, Ordering::SeqCst);
+            fabric.wake_readers();
         }
 
         let mut report = RunReport::default();

@@ -29,6 +29,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::channel::ChannelPolicy;
 use crate::checkpoint::{self, Checkpoint, CheckpointResource, LoggedSource, QuiesceHook};
@@ -40,8 +43,9 @@ use crate::director::{Director, RunReport};
 use crate::error::{Error, Result};
 use crate::graph::Workflow;
 use crate::telemetry::{
-    FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer, OpsConfig, OpsServer,
-    RunControl, RunPhase, StallWatchdog, Telemetry, TimeSeriesRecorder, TraceReport, Tracer,
+    CheckpointTiming, FireRecord, MetricsRecorder, MetricsSnapshot, MultiObserver, Observer,
+    OpsConfig, OpsServer, RunControl, RunPhase, StallWatchdog, Telemetry, TimeSeriesRecorder,
+    TraceReport, Tracer,
 };
 use crate::telemetry::ops::OpsState;
 use crate::time::{Micros, Timestamp};
@@ -129,23 +133,32 @@ impl Observer for StopWatcher {
 
 /// Observer that requests a checkpoint quiesce when a per-segment
 /// [`StopCondition`] is met. One is built fresh for each segment, so the
-/// counters measure segment activity, not run totals.
+/// counters measure segment activity, not run totals. A segment resuming
+/// after a checkpoint also reports, at its start, how long the resume took.
 struct QuiesceWatcher {
     condition: StopCondition,
     hook: Arc<QuiesceHook>,
     fires: AtomicU64,
     routed: AtomicU64,
     started: AtomicU64,
+    /// When the previous checkpoint finished writing, and where to record
+    /// the resume time.
+    resume: Mutex<Option<(Instant, Arc<MetricsRecorder>)>>,
 }
 
 impl QuiesceWatcher {
-    fn new(condition: StopCondition, hook: Arc<QuiesceHook>) -> Self {
+    fn new(
+        condition: StopCondition,
+        hook: Arc<QuiesceHook>,
+        resume: Option<(Instant, Arc<MetricsRecorder>)>,
+    ) -> Self {
         QuiesceWatcher {
             condition,
             hook,
             fires: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             started: AtomicU64::new(0),
+            resume: Mutex::new(resume),
         }
     }
 
@@ -163,6 +176,9 @@ impl Observer for QuiesceWatcher {
     fn on_run_phase(&self, phase: RunPhase, at: Timestamp) {
         if phase == RunPhase::Start {
             self.started.store(at.as_micros(), Ordering::Relaxed);
+            if let Some((written, recorder)) = self.resume.lock().take() {
+                recorder.record_checkpoint_resume(Micros::from(written.elapsed()));
+            }
         }
     }
 
@@ -737,6 +753,7 @@ impl Engine {
         let before = self.recorder.snapshot();
         let mut elapsed = Micros(0);
         let mut fallback = RunReport::default();
+        let mut written: Option<Instant> = None;
         loop {
             hook.reset();
             let mut observers: Vec<Arc<dyn Observer>> =
@@ -746,7 +763,12 @@ impl Engine {
                 observers.push(watcher.clone() as Arc<dyn Observer>);
             }
             if let Some(plan) = &plan {
-                observers.push(Arc::new(QuiesceWatcher::new(plan.every, hook.clone())));
+                let resume = written.take().map(|at| (at, self.recorder.clone()));
+                observers.push(Arc::new(QuiesceWatcher::new(
+                    plan.every,
+                    hook.clone(),
+                    resume,
+                )));
             }
             let telemetry = Telemetry {
                 observer: Arc::new(
@@ -764,9 +786,17 @@ impl Engine {
             match hook.take_captured() {
                 Some(state) => {
                     // The next segment's fresh fabric resumes from exactly
-                    // the captured state; the disk checkpoint gets a copy.
-                    hook.stage_restore(state.clone());
-                    self.write_checkpoint(state, &snapshot_dir)?;
+                    // the state the disk checkpoint holds.
+                    let (quiesce, capture) = hook.pause_times();
+                    let mut timing = CheckpointTiming {
+                        quiesce: Micros::from(quiesce),
+                        capture: Micros::from(capture),
+                        ..CheckpointTiming::default()
+                    };
+                    let state = self.write_checkpoint(state, &snapshot_dir, &mut timing)?;
+                    self.recorder.record_checkpoint(&timing);
+                    written = Some(Instant::now());
+                    hook.stage_restore(state);
                     hook.set_resuming(true);
                 }
                 None => break,
@@ -813,12 +843,16 @@ impl Engine {
     }
 
     /// Snapshot every actor's durable state plus registered resources and
-    /// write the checkpoint atomically into `dir`.
+    /// write the checkpoint atomically into `dir`, timing the save + encode
+    /// and the write into `timing`. Hands the fabric state back for the
+    /// next segment to resume from.
     fn write_checkpoint(
         &mut self,
         fabric: checkpoint::FabricState,
         dir: &Path,
-    ) -> Result<()> {
+        timing: &mut CheckpointTiming,
+    ) -> Result<checkpoint::FabricState> {
+        let started = Instant::now();
         let mut actors = Vec::new();
         let ids: Vec<_> = self.workflow.actor_ids().collect();
         for id in ids {
@@ -835,13 +869,18 @@ impl Engine {
         for (name, resource) in &self.resources {
             resources.push((name.clone(), resource.save()?));
         }
-        Checkpoint {
+        let cp = Checkpoint {
             actors,
             fabric,
             resources,
-        }
-        .write_to_dir(dir)?;
-        Ok(())
+        };
+        let bytes = cp.to_bytes();
+        let encoded = Instant::now();
+        Checkpoint::write_bytes_to_dir(dir, &bytes)?;
+        timing.encode = Micros::from(encoded.duration_since(started));
+        timing.write = Micros::from(encoded.elapsed());
+        timing.bytes = bytes.len() as u64;
+        Ok(cp.fabric)
     }
 
     /// Whether the current director honored instrumentation on the last
@@ -938,6 +977,26 @@ mod tests {
         assert!(dir.join(checkpoint::SNAPSHOT_FILE).exists());
         let log = checkpoint::EventLog::read_all(&checkpoint::log_path(&dir, "src")).unwrap();
         assert_eq!(log.len(), 20, "every source emission journaled");
+        // Every checkpoint reports its phases and size; each one is
+        // followed by a resumed segment.
+        let cp = engine.snapshot().checkpoints;
+        assert!(cp.count > 0);
+        assert!(cp.bytes > 0);
+        for (phase, sketch) in cp.phases() {
+            assert_eq!(sketch.count, cp.count, "{phase}");
+        }
+    }
+
+    #[test]
+    fn runs_without_checkpoints_record_no_checkpoint_metrics() {
+        let (wf, _c) = build();
+        let mut engine = Engine::new(wf);
+        engine.run().unwrap();
+        assert_eq!(engine.snapshot().checkpoints.count, 0);
+        assert!(!engine
+            .snapshot()
+            .to_prometheus()
+            .contains("confluence_checkpoint_"));
     }
 
     #[test]

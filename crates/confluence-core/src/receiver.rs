@@ -26,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use crate::channel::{ChannelPolicy, OnFull};
+use crate::director::fire::InFlight;
 use crate::error::{Error, Result};
 use crate::event::CwEvent;
 use crate::time::Timestamp;
@@ -48,7 +49,8 @@ pub trait InboxWaker: Send + Sync {
 pub enum InboxPop {
     /// A window is ready on the given input port.
     Window(usize, Window),
-    /// The wait deadline passed with no window.
+    /// The wait ended — its deadline passed, or
+    /// [`ActorInbox::wake_readers`] cut it short — with no window.
     TimedOut,
     /// Every upstream port has closed and no windows remain.
     Closed,
@@ -92,6 +94,9 @@ pub struct ActorInbox {
     /// Shared fabric-wide progress counter, bumped on every push and pop.
     /// The no-progress detector behind Parks-style deadlock relief reads it.
     progress: Arc<AtomicU64>,
+    /// The fabric's in-flight count: every queued window holds one unit,
+    /// which a pop hands to the caller.
+    in_flight: Arc<InFlight>,
     /// Earliest wave-origin (µs) of the window at the queue front —
     /// `u64::MAX` when no window is pending. Maintained under the state
     /// lock, readable without it: the O(1) staleness signal deadline-aware
@@ -113,11 +118,16 @@ impl std::fmt::Debug for ActorInbox {
 impl ActorInbox {
     /// An inbox fed by `input_ports` port receivers.
     pub fn new(input_ports: usize) -> Arc<Self> {
-        Self::new_shared(input_ports, Arc::new(AtomicU64::new(0)))
+        Self::new_shared(input_ports, Arc::new(AtomicU64::new(0)), Arc::default())
     }
 
-    /// An inbox wired to a fabric-wide progress counter.
-    pub fn new_shared(input_ports: usize, progress: Arc<AtomicU64>) -> Arc<Self> {
+    /// An inbox wired to a fabric-wide progress counter and in-flight
+    /// count.
+    pub fn new_shared(
+        input_ports: usize,
+        progress: Arc<AtomicU64>,
+        in_flight: Arc<InFlight>,
+    ) -> Arc<Self> {
         Arc::new(ActorInbox {
             state: Mutex::new(InboxState {
                 windows: VecDeque::new(),
@@ -127,6 +137,7 @@ impl ActorInbox {
             cond: Condvar::new(),
             space: Condvar::new(),
             progress,
+            in_flight,
             oldest: AtomicU64::new(u64::MAX),
             waker: std::sync::OnceLock::new(),
         })
@@ -170,6 +181,7 @@ impl ActorInbox {
 
     /// Enqueue a formed window from input port `port`.
     pub fn push(&self, port: usize, window: Window) {
+        self.in_flight.add(1);
         let mut st = self.state.lock();
         *st.depth_slot(port) += 1;
         st.windows.push_back((port, origin_key(&window), window));
@@ -187,6 +199,7 @@ impl ActorInbox {
         if windows.is_empty() {
             return;
         }
+        self.in_flight.add(windows.len());
         let mut st = self.state.lock();
         *st.depth_slot(port) += windows.len();
         for w in windows {
@@ -206,6 +219,14 @@ impl ActorInbox {
     /// director hands back windows an actor had staged but not consumed,
     /// so the checkpoint capture sees them ahead of newer arrivals.
     pub fn push_front_batch(&self, windows: Vec<(usize, Window)>) {
+        self.in_flight.add(windows.len());
+        self.requeue_front(windows);
+    }
+
+    /// [`ActorInbox::push_front_batch`] for windows popped from this inbox
+    /// and never staged: they still hold the in-flight units their pop
+    /// handed out, so the count does not change.
+    pub fn requeue_front(&self, windows: Vec<(usize, Window)>) {
         if windows.is_empty() {
             return;
         }
@@ -222,7 +243,9 @@ impl ActorInbox {
         self.wake_ready();
     }
 
-    /// Non-blocking pop (used by scheduled directors).
+    /// Non-blocking pop (used by scheduled directors). The window's
+    /// in-flight unit passes to the caller, who stages it for a firing
+    /// ([`crate::director::fire::Kernel::stage`]).
     pub fn try_pop(&self) -> Option<(usize, Window)> {
         let mut st = self.state.lock();
         let popped = st.windows.pop_front();
@@ -241,7 +264,10 @@ impl ActorInbox {
 
     /// Blocking pop with an optional wall-clock timeout (used by the
     /// thread-based director; the timeout realizes window-formation
-    /// timeouts, after which the caller polls its receivers).
+    /// timeouts, after which the caller polls its receivers). A timed wait
+    /// also ends early, as [`InboxPop::TimedOut`], on
+    /// [`ActorInbox::wake_readers`]. Hands over the in-flight unit like
+    /// [`ActorInbox::try_pop`].
     pub fn pop_blocking(&self, timeout: Option<std::time::Duration>) -> InboxPop {
         let mut st = self.state.lock();
         loop {
@@ -260,13 +286,21 @@ impl ActorInbox {
             }
             match timeout {
                 Some(t) => {
-                    if self.cond.wait_for(&mut st, t).timed_out() {
+                    self.cond.wait_for(&mut st, t);
+                    if st.windows.is_empty() && st.open_ports > 0 {
                         return InboxPop::TimedOut;
                     }
                 }
                 None => self.cond.wait(&mut st),
             }
         }
+    }
+
+    /// Cut short every timed [`ActorInbox::pop_blocking`] wait on this
+    /// inbox, so its reader re-checks its stop conditions now.
+    pub fn wake_readers(&self) {
+        let _st = self.state.lock();
+        self.cond.notify_all();
     }
 
     /// Number of ready windows.
@@ -294,6 +328,7 @@ impl ActorInbox {
         *slot = slot.saturating_sub(1);
         self.refresh_oldest(&st);
         drop(st);
+        self.in_flight.remove(1);
         self.progress.fetch_add(1, Ordering::Relaxed);
         self.space.notify_all();
         self.wake_space();
@@ -345,9 +380,10 @@ impl ActorInbox {
         self.state.lock().open_ports == 0
     }
 
-    /// Remove and return every queued window in order (checkpoint capture
-    /// on a quiesced fabric). Counts as one progress step and wakes any
-    /// space waiters, like a pop.
+    /// Remove and return every queued window in order, with their
+    /// in-flight units (checkpoint capture on a quiesced fabric, or late
+    /// windows for a finished actor). Counts as one progress step and
+    /// wakes any space waiters, like a pop.
     pub fn drain_windows(&self) -> Vec<(usize, Window)> {
         let mut st = self.state.lock();
         let drained: Vec<(usize, Window)> =
@@ -357,6 +393,7 @@ impl ActorInbox {
         }
         self.refresh_oldest(&st);
         drop(st);
+        self.in_flight.remove(drained.len());
         if !drained.is_empty() {
             self.progress.fetch_add(1, Ordering::Relaxed);
             self.space.notify_all();
@@ -632,6 +669,12 @@ impl PortReceiver {
     /// Drain expired events (for an expired-items handler activity).
     pub fn drain_expired(&self) -> Vec<CwEvent> {
         self.op.lock().drain_expired()
+    }
+
+    /// Drop events as they expire instead of queueing them, for a port no
+    /// expired-items handler will ever drain.
+    pub fn discard_expired(&self) {
+        self.op.lock().discard_expired();
     }
 
     /// One upstream channel finished. When the last one does, remaining

@@ -30,8 +30,8 @@ pub mod trace;
 pub use livestats::{LiveStats, EMA_ALPHA};
 pub use ops::{OpsConfig, OpsServer, StallWatchdog};
 pub use recorder::{
-    ActorMetrics, AdaptMetrics, EdgeMetrics, MetricsRecorder, MetricsSnapshot,
-    PortDepthMetrics, ShardMetrics, ShardReplicaMetrics,
+    ActorMetrics, AdaptMetrics, CheckpointMetrics, CheckpointTiming, EdgeMetrics,
+    MetricsRecorder, MetricsSnapshot, PortDepthMetrics, ShardMetrics, ShardReplicaMetrics,
 };
 pub use series::{SeriesPoint, TimeSeriesRecorder};
 pub use signals::{LoadSignals, LoadSnapshot};

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -174,6 +174,84 @@ pub struct MetricsRecorder {
     /// [`AdaptivePolicy`](crate::director::adaptive::AdaptivePolicy) is
     /// configured).
     adapt: AdaptCell,
+    /// Checkpoint phase sketches, allocated by the first checkpoint.
+    checkpoints: OnceLock<CheckpointCell>,
+}
+
+/// Wall-clock cost of one checkpoint up to its write, reported by the
+/// engine through [`MetricsRecorder::record_checkpoint`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CheckpointTiming {
+    /// Pause request until the fabric's in-flight count reached zero.
+    pub quiesce: Micros,
+    /// Capturing the fabric (unstaging contexts, draining inboxes and
+    /// window operators).
+    pub capture: Micros,
+    /// Saving actor and resource state and encoding the snapshot.
+    pub encode: Micros,
+    /// Writing the snapshot file, fsync and rename.
+    pub write: Micros,
+    /// Snapshot bytes written.
+    pub bytes: u64,
+}
+
+/// Accumulators behind [`CheckpointMetrics`].
+#[derive(Debug, Default)]
+struct CheckpointCell {
+    count: AtomicU64,
+    bytes: AtomicU64,
+    quiesce: QuantileSketch,
+    capture: QuantileSketch,
+    encode: QuantileSketch,
+    write: QuantileSketch,
+    resume: QuantileSketch,
+}
+
+/// Checkpoint counters and per-phase wall-time sketches (µs). All zero
+/// and empty when the run took no checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointMetrics {
+    /// Checkpoints written.
+    pub count: u64,
+    /// Snapshot bytes written across all checkpoints.
+    pub bytes: u64,
+    /// Pause request until the in-flight count reached zero.
+    pub quiesce: SketchSnapshot,
+    /// Fabric capture.
+    pub capture: SketchSnapshot,
+    /// Actor/resource save plus snapshot encoding.
+    pub encode: SketchSnapshot,
+    /// File write, fsync and rename.
+    pub write: SketchSnapshot,
+    /// From the write until the next run segment started.
+    pub resume: SketchSnapshot,
+}
+
+impl Default for CheckpointMetrics {
+    fn default() -> Self {
+        CheckpointMetrics {
+            count: 0,
+            bytes: 0,
+            quiesce: SketchSnapshot::empty(),
+            capture: SketchSnapshot::empty(),
+            encode: SketchSnapshot::empty(),
+            write: SketchSnapshot::empty(),
+            resume: SketchSnapshot::empty(),
+        }
+    }
+}
+
+impl CheckpointMetrics {
+    /// The phase sketches by name, in checkpoint order.
+    pub fn phases(&self) -> [(&'static str, &SketchSnapshot); 5] {
+        [
+            ("quiesce", &self.quiesce),
+            ("capture", &self.capture),
+            ("encode", &self.encode),
+            ("write", &self.write),
+            ("resume", &self.resume),
+        ]
+    }
 }
 
 /// Atomic accumulators behind [`AdaptMetrics`].
@@ -256,7 +334,28 @@ impl MetricsRecorder {
             topology: Mutex::new(Vec::new()),
             workers: Mutex::new(Vec::new()),
             adapt: AdaptCell::default(),
+            checkpoints: OnceLock::new(),
         }
+    }
+
+    /// Record one written checkpoint's phases and size.
+    pub fn record_checkpoint(&self, timing: &CheckpointTiming) {
+        let cell = self.checkpoints.get_or_init(CheckpointCell::default);
+        cell.count.fetch_add(1, Ordering::Relaxed);
+        cell.bytes.fetch_add(timing.bytes, Ordering::Relaxed);
+        cell.quiesce.record(timing.quiesce);
+        cell.capture.record(timing.capture);
+        cell.encode.record(timing.encode);
+        cell.write.record(timing.write);
+    }
+
+    /// Record how long the run took to resume after a checkpoint: from
+    /// its write until the next segment started.
+    pub fn record_checkpoint_resume(&self, resume: Micros) {
+        self.checkpoints
+            .get_or_init(CheckpointCell::default)
+            .resume
+            .record(resume);
     }
 
     /// Declare the workflow's channels so per-edge deliveries reported by
@@ -393,6 +492,19 @@ impl MetricsRecorder {
                 shed_engagements: self.adapt.shed_engagements.load(Ordering::Relaxed),
                 shed_disengagements: self.adapt.shed_disengagements.load(Ordering::Relaxed),
             },
+            checkpoints: self
+                .checkpoints
+                .get()
+                .map(|c| CheckpointMetrics {
+                    count: c.count.load(Ordering::Relaxed),
+                    bytes: c.bytes.load(Ordering::Relaxed),
+                    quiesce: c.quiesce.snapshot(),
+                    capture: c.capture.snapshot(),
+                    encode: c.encode.snapshot(),
+                    write: c.write.snapshot(),
+                    resume: c.resume.snapshot(),
+                })
+                .unwrap_or_default(),
         }
     }
 }
@@ -525,6 +637,8 @@ pub struct MetricsSnapshot {
     /// Adaptive-controller decision counts (all zero when no
     /// `AdaptivePolicy` is configured).
     pub adapt: AdaptMetrics,
+    /// Checkpoint counts and phase times (empty without checkpoints).
+    pub checkpoints: CheckpointMetrics,
 }
 
 impl MetricsSnapshot {
@@ -699,7 +813,21 @@ impl MetricsSnapshot {
         push_kv_u64(&mut out, "shed_engagements", self.adapt.shed_engagements);
         out.push(',');
         push_kv_u64(&mut out, "shed_disengagements", self.adapt.shed_disengagements);
-        out.push_str("},\"latency\":{");
+        out.push('}');
+        if self.checkpoints.count > 0 {
+            out.push_str(",\"checkpoints\":{");
+            push_kv_u64(&mut out, "count", self.checkpoints.count);
+            out.push(',');
+            push_kv_u64(&mut out, "bytes", self.checkpoints.bytes);
+            for (phase, sketch) in self.checkpoints.phases() {
+                out.push(',');
+                push_kv_u64(&mut out, &format!("{phase}_p50_us"), sketch.p50());
+                out.push(',');
+                push_kv_u64(&mut out, &format!("{phase}_max_us"), sketch.max_micros);
+            }
+            out.push('}');
+        }
+        out.push_str(",\"latency\":{");
         push_kv_u64(&mut out, "count", self.latency.count);
         out.push(',');
         push_kv_u64(&mut out, "sum_us", self.latency.sum_micros);
@@ -910,6 +1038,9 @@ impl MetricsSnapshot {
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
             ));
         }
+        if self.checkpoints.count > 0 {
+            self.push_checkpoint_metrics(&mut out);
+        }
         let shards = self.shards();
         if !shards.is_empty() {
             out.push_str(
@@ -1023,6 +1154,48 @@ impl MetricsSnapshot {
             self.latency.count
         ));
         out
+    }
+
+    /// The `confluence_checkpoint_*` families: counters plus one summary
+    /// of wall time per checkpoint phase.
+    fn push_checkpoint_metrics(&self, out: &mut String) {
+        let cp = &self.checkpoints;
+        for (name, help, value) in [
+            (
+                "confluence_checkpoint_taken_total",
+                "Checkpoints written",
+                cp.count,
+            ),
+            (
+                "confluence_checkpoint_bytes_total",
+                "Snapshot bytes written across all checkpoints",
+                cp.bytes,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+            ));
+        }
+        out.push_str(
+            "# HELP confluence_checkpoint_phase_us Wall time per checkpoint phase in microseconds (quiesce, capture, encode, write, resume)\n\
+             # TYPE confluence_checkpoint_phase_us summary\n",
+        );
+        for (phase, sketch) in cp.phases() {
+            for (q, v) in [
+                ("0.5", sketch.p50()),
+                ("0.95", sketch.p95()),
+                ("1", sketch.max_micros),
+            ] {
+                out.push_str(&format!(
+                    "confluence_checkpoint_phase_us{{phase=\"{phase}\",quantile=\"{q}\"}} {v}\n"
+                ));
+            }
+            out.push_str(&format!(
+                "confluence_checkpoint_phase_us_sum{{phase=\"{phase}\"}} {}\n\
+                 confluence_checkpoint_phase_us_count{{phase=\"{phase}\"}} {}\n",
+                sketch.sum_micros, sketch.count
+            ));
+        }
     }
 
     /// Render the per-actor table for terminal output (bench runner).
@@ -1436,6 +1609,50 @@ mod tests {
         assert!(s.to_json().contains("\"workers\":[]"));
         assert!(!s.to_prometheus().contains("confluence_worker_"));
         assert!(!s.render_table().contains("worker 0"));
+    }
+
+    #[test]
+    fn checkpoint_metrics_only_after_a_checkpoint() {
+        let r = recorder2();
+        let s = r.snapshot();
+        assert_eq!(s.checkpoints, CheckpointMetrics::default());
+        assert!(r.checkpoints.get().is_none(), "no sketches allocated");
+        assert!(!s.to_prometheus().contains("confluence_checkpoint_"));
+        assert!(!s.to_json().contains("\"checkpoints\""));
+
+        for (quiesce, bytes) in [(2_000, 1_000), (4_000, 3_000)] {
+            r.record_checkpoint(&CheckpointTiming {
+                quiesce: Micros(quiesce),
+                capture: Micros(300),
+                encode: Micros(700),
+                write: Micros(900),
+                bytes,
+            });
+        }
+        r.record_checkpoint_resume(Micros(1_500));
+        let s = r.snapshot();
+        let cp = &s.checkpoints;
+        assert_eq!((cp.count, cp.bytes), (2, 4_000));
+        assert_eq!(cp.quiesce.count, 2);
+        assert_eq!(cp.quiesce.max_micros, 4_000);
+        assert_eq!(cp.resume.count, 1);
+        let prom = s.to_prometheus();
+        assert!(prom.contains("# TYPE confluence_checkpoint_taken_total counter"));
+        assert!(prom.contains("confluence_checkpoint_taken_total 2"));
+        assert!(prom.contains("confluence_checkpoint_bytes_total 4000"));
+        assert!(prom.contains("# TYPE confluence_checkpoint_phase_us summary"));
+        for phase in ["quiesce", "capture", "encode", "write", "resume"] {
+            assert!(
+                prom.contains(&format!(
+                    "confluence_checkpoint_phase_us_count{{phase=\"{phase}\"}}"
+                )),
+                "{phase}"
+            );
+        }
+        assert!(prom.contains("confluence_checkpoint_phase_us_sum{phase=\"quiesce\"} 6000"));
+        assert!(s
+            .to_json()
+            .contains("\"checkpoints\":{\"count\":2,\"bytes\":4000"));
     }
 
     #[test]

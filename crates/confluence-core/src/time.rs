@@ -98,6 +98,13 @@ impl Micros {
     }
 }
 
+impl From<std::time::Duration> for Micros {
+    /// Whole microseconds of a wall-clock duration (saturating).
+    fn from(d: std::time::Duration) -> Micros {
+        Micros(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
+    }
+}
+
 impl std::ops::Add<Micros> for Timestamp {
     type Output = Timestamp;
     #[inline]

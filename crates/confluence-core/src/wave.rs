@@ -191,13 +191,13 @@ impl fmt::Display for WaveTag {
 /// known once its last-marked child (or a descendant of it) is observed,
 /// and a node is complete when all its children have arrived and every
 /// child that spawned a sub-wave is itself complete.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct WaveTracker {
     root: Node,
     observed: usize,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Node {
     /// Total number of children, known once a last-marked child is seen.
     expected: Option<u32>,

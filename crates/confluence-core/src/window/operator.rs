@@ -26,6 +26,9 @@ pub struct WindowOperator {
     group_order: Vec<Token>,
     ready: VecDeque<Window>,
     expired: VecDeque<CwEvent>,
+    /// Whether expiring events go to `expired` (false: they are dropped,
+    /// for ports no expired-items handler drains).
+    keep_expired: bool,
     pending: usize,
     /// Incremental deadline index: poll time → groups due at that time.
     /// Keeps [`WindowOperator::next_deadline`] O(1) and
@@ -42,14 +45,46 @@ enum Kind {
     Wave,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum GroupState {
     Tuples(TupleGroup),
     Time(TimeGroup),
     Wave(WaveGroup),
 }
 
-#[derive(Debug, Default)]
+impl GroupState {
+    /// This group's checkpoint form under `key`.
+    fn into_snapshot(self, key: Token) -> GroupSnapshot {
+        match self {
+            GroupState::Tuples(g) => GroupSnapshot::Tuples {
+                key,
+                events: g.events.into(),
+                front_seq: g.front_seq,
+                next_seq: g.next_seq,
+                next_start: g.next_start,
+            },
+            GroupState::Time(g) => GroupSnapshot::Time {
+                key,
+                events: g.events.into(),
+                watermark: g.watermark,
+                next_k: g.next_k,
+            },
+            GroupState::Wave(g) => GroupSnapshot::Wave {
+                key,
+                // Per-origin buffers flattened in origin order; restore
+                // re-observes each tag to rebuild the trackers (tracker
+                // state is a pure fold of `observe`).
+                events: g
+                    .waves
+                    .into_values()
+                    .flat_map(|(_, events)| events)
+                    .collect(),
+            },
+        }
+    }
+}
+
+#[derive(Debug, Default, Clone)]
 struct TupleGroup {
     /// Buffered events; the front event has logical sequence `front_seq`.
     events: VecDeque<CwEvent>,
@@ -61,7 +96,7 @@ struct TupleGroup {
     next_start: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct TimeGroup {
     /// Buffered events, kept sorted by event timestamp.
     events: VecDeque<CwEvent>,
@@ -71,7 +106,7 @@ struct TimeGroup {
     next_k: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct WaveGroup {
     /// Per-wave trackers and buffered events, keyed by wave origin.
     waves: BTreeMap<Timestamp, (WaveTracker, Vec<CwEvent>)>,
@@ -97,6 +132,7 @@ impl WindowOperator {
             group_order: Vec::new(),
             ready: VecDeque::new(),
             expired: VecDeque::new(),
+            keep_expired: true,
             pending: 0,
             deadline_index: BTreeMap::new(),
             group_deadline: HashMap::new(),
@@ -127,7 +163,7 @@ impl WindowOperator {
         let group = self.groups.get_mut(&key).expect("group inserted above");
         let mut out = Emitted {
             ready: &mut self.ready,
-            expired: &mut self.expired,
+            expired: self.keep_expired.then_some(&mut self.expired),
             pending_delta: 0,
         };
         match (group, kind) {
@@ -157,7 +193,7 @@ impl WindowOperator {
         };
         let mut out = Emitted {
             ready: &mut self.ready,
-            expired: &mut self.expired,
+            expired: self.keep_expired.then_some(&mut self.expired),
             pending_delta: 0,
         };
         match (group, kind) {
@@ -283,7 +319,7 @@ impl WindowOperator {
             };
             let mut out = Emitted {
                 ready: &mut self.ready,
-                expired: &mut self.expired,
+                expired: self.keep_expired.then_some(&mut self.expired),
                 pending_delta: 0,
             };
             match (group, kind) {
@@ -375,6 +411,13 @@ impl WindowOperator {
         self.expired.drain(..).collect()
     }
 
+    /// Drop events as they expire from now on, instead of queueing them
+    /// for [`WindowOperator::drain_expired`].
+    pub fn discard_expired(&mut self) {
+        self.keep_expired = false;
+        self.expired.clear();
+    }
+
     /// Number of expired events awaiting drainage.
     pub fn expired_len(&self) -> usize {
         self.expired.len()
@@ -385,57 +428,34 @@ impl WindowOperator {
     /// order), plus any formed-but-unconsumed and expired-but-undrained
     /// events.
     pub fn snapshot(&self) -> OperatorSnapshot {
-        let mut groups = Vec::with_capacity(self.group_order.len());
-        for key in &self.group_order {
-            let Some(group) = self.groups.get(key) else {
-                continue;
-            };
-            groups.push(match group {
-                GroupState::Tuples(g) => GroupSnapshot::Tuples {
-                    key: key.clone(),
-                    events: g.events.iter().cloned().collect(),
-                    front_seq: g.front_seq,
-                    next_seq: g.next_seq,
-                    next_start: g.next_start,
-                },
-                GroupState::Time(g) => GroupSnapshot::Time {
-                    key: key.clone(),
-                    events: g.events.iter().cloned().collect(),
-                    watermark: g.watermark,
-                    next_k: g.next_k,
-                },
-                GroupState::Wave(g) => GroupSnapshot::Wave {
-                    key: key.clone(),
-                    // Per-origin buffers flattened in origin order; restore
-                    // re-observes each tag to rebuild the trackers (tracker
-                    // state is a pure fold of `observe`).
-                    events: g
-                        .waves
-                        .values()
-                        .flat_map(|(_, events)| events.iter().cloned())
-                        .collect(),
-                },
-            });
-        }
         OperatorSnapshot {
-            groups,
+            groups: self
+                .group_order
+                .iter()
+                .filter_map(|key| Some(self.groups.get(key)?.clone().into_snapshot(key.clone())))
+                .collect(),
             ready: self.ready.iter().cloned().collect(),
             expired: self.expired.iter().cloned().collect(),
         }
     }
 
-    /// Serialize like [`WindowOperator::snapshot`], then reset this
-    /// operator to fresh. Used for destructive checkpoint capture on a
-    /// quiesced fabric: directors that keep one fabric alive across
-    /// checkpoint segments (scwf) restore the staged snapshot back into
-    /// the *same* operator, which [`WindowOperator::restore`] only
+    /// Serialize like [`WindowOperator::snapshot`], moving the state out
+    /// and leaving this operator fresh. Used for destructive checkpoint
+    /// capture on a quiesced fabric: directors that keep one fabric alive
+    /// across checkpoint segments (scwf) restore the staged snapshot back
+    /// into the *same* operator, which [`WindowOperator::restore`] only
     /// accepts when the operator is fresh.
     pub fn take_snapshot(&mut self) -> OperatorSnapshot {
-        let snap = self.snapshot();
-        self.groups.clear();
-        self.group_order.clear();
-        self.ready.clear();
-        self.expired.clear();
+        let mut groups = std::mem::take(&mut self.groups);
+        let snap = OperatorSnapshot {
+            groups: self
+                .group_order
+                .drain(..)
+                .filter_map(|key| Some(groups.remove(&key)?.into_snapshot(key)))
+                .collect(),
+            ready: self.ready.drain(..).collect(),
+            expired: self.expired.drain(..).collect(),
+        };
         self.pending = 0;
         self.deadline_index.clear();
         self.group_deadline.clear();
@@ -521,7 +541,9 @@ impl WindowOperator {
         }
         self.pending = pending;
         self.ready.extend(snap.ready);
-        self.expired.extend(snap.expired);
+        if self.keep_expired {
+            self.expired.extend(snap.expired);
+        }
         Ok(())
     }
 }
@@ -580,7 +602,8 @@ pub struct OperatorSnapshot {
 /// Emission sink threaded through group-state methods.
 struct Emitted<'a> {
     ready: &'a mut VecDeque<Window>,
-    expired: &'a mut VecDeque<CwEvent>,
+    /// The expired-items queue, or `None` when expiring events are dropped.
+    expired: Option<&'a mut VecDeque<CwEvent>>,
     /// Net change to the operator's pending-event count produced by the
     /// call (removals are negative), excluding the pushed event itself.
     pending_delta: i64,
@@ -597,7 +620,9 @@ impl Emitted<'_> {
     }
 
     fn expire(&mut self, event: CwEvent) {
-        self.expired.push_back(event);
+        if let Some(expired) = self.expired.as_deref_mut() {
+            expired.push_back(event);
+        }
         self.pending_delta -= 1;
     }
 }

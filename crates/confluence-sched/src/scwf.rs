@@ -443,7 +443,7 @@ impl ScwfCore {
             // to the actor's context but not yet consumed (unstaged below).
             st.fabric
                 .inbox(ActorId(i))
-                .push_front_batch(queue.drain(..).collect());
+                .requeue_front(queue.drain(..).collect());
         }
         if let Some(hook) = &self.hook {
             let contexts = st.contexts.iter_mut().enumerate();
